@@ -100,10 +100,11 @@ type Options struct {
 	MaxKey uint64
 	// MemBudget, when positive, caps the fixed (up-front) link-table
 	// footprint in bytes: flat slots for StateDense, the page
-	// directory for StatePaged. A dense or paged resolution whose
-	// fixed footprint exceeds the budget degrades to StateHashed —
-	// which only pays for live keys — instead of erroring, and the
-	// demotion is recorded in MemStats.Degraded. Zero means no budget.
+	// directory for StatePaged, the link index of an event run. A
+	// dense or paged resolution whose fixed footprint exceeds the
+	// budget degrades to StateHashed — which only pays for live keys
+	// — instead of erroring, and the demotion is recorded in
+	// MemStats.Degraded. Zero means no budget.
 	MemBudget int64
 	// ForcePaged forces the paged table representation for any dense
 	// declaration, including ones small enough for flat tables. It
@@ -113,15 +114,18 @@ type Options struct {
 	ForcePaged bool
 	// Event, when non-nil, selects the asynchronous discrete-event
 	// loop instead of the synchronous round loop: the same injection,
-	// handler and combiner callbacks run over a timestamped min-heap
+	// handler and combiner callbacks run over a timing wheel of events
 	// with per-link latency, bandwidth caps and fault injection (see
-	// EventOptions). The event loop is strictly sequential — its heap
-	// order is the schedule — so Workers and MaxKey are ignored and
-	// results are identical for any setting of either.
+	// EventOptions). The event loop is strictly sequential — the
+	// wheel's (time, kind, key, ID) order is the schedule — so Workers
+	// is ignored. MaxKey sizes its dense link index (one int32 per
+	// declared key, priced against MemBudget; zero, beyond the flat
+	// table cap, or over budget selects a hash map). Results are
+	// identical for any setting of Workers or MaxKey.
 	Event *EventOptions
 	// Context, when non-nil, bounds the run: the round loop polls it
 	// between rounds (a non-blocking channel read, nanoseconds against
-	// a round's link work) and the event loop every few thousand heap
+	// a round's link work) and the event loop every few thousand
 	// events, and unwinds with an Abort panic carrying ctx.Err() when
 	// it is done. A run that was never canceled is bit-identical to
 	// one with no Context at all — the poll reads no randomness and
@@ -278,10 +282,9 @@ func New(opts Options) *Engine {
 		}
 		eventOpts = &ev
 		// The event loop is a single global timestamped order: one
-		// shard, no parallel phases, no dense tables — its link map is
-		// keyed by event time, not shard layout.
+		// shard and no parallel phases. It keeps its own link state (see
+		// eventLoop), so the shard tables stay unallocated.
 		opts.Workers = 1
-		opts.MaxKey = 0
 	}
 	pool := NewPool(opts.Workers)
 	nshards := 1
@@ -295,7 +298,17 @@ func New(opts Options) *Engine {
 	shift := uint(bits.TrailingZeros(uint(nshards)))
 	state, degraded := StateHashed, false
 	tableSize, numPages := 0, 0
-	if opts.MaxKey > 0 && opts.MaxKey <= pagedKeyLimit {
+	if eventOpts != nil {
+		// The event loop's fixed footprint is its dense link index, one
+		// int32 per declared key; flat-table sizes get it, and larger or
+		// over-budget declarations degrade to the hashed link map.
+		if opts.MaxKey > 0 && opts.MaxKey <= flatKeyLimit {
+			state = StateDense
+			if opts.MemBudget > 0 && int64(opts.MaxKey)*eventIndexBytes > opts.MemBudget {
+				state, degraded = StateHashed, true
+			}
+		}
+	} else if opts.MaxKey > 0 && opts.MaxKey <= pagedKeyLimit {
 		tableSize = int((opts.MaxKey-1)>>shift) + 1
 		numPages = (tableSize-1)>>pageBits + 1
 		if opts.MaxKey <= flatKeyLimit && !opts.ForcePaged {
@@ -337,7 +350,7 @@ func New(opts Options) *Engine {
 	// buffers are adopted when the stocked shape matches, otherwise
 	// the run allocates fresh and restocks the lease at release.
 	var adopt []leaseShard
-	if l := opts.Lease; l != nil && (state == StateDense || state == StatePaged) {
+	if l := opts.Lease; l != nil && eventOpts == nil && (state == StateDense || state == StatePaged) {
 		e.lease = l
 		if l.matches(state, nshards, tableSize) {
 			adopt = l.shards
@@ -349,15 +362,16 @@ func New(opts Options) *Engine {
 	root := prng.New(opts.Seed ^ 0xa5a5a5a5a5a5a5a5)
 	for i := range e.shards {
 		sh := &e.shards[i]
-		switch state {
-		case StateDense:
+		switch {
+		case eventOpts != nil:
+		case state == StateDense:
 			if adopt != nil {
 				sh.table = adopt[i].table
 			} else {
 				sh.table = make([]queue.Discipline, tableSize)
 			}
 			sh.shift = shift
-		case StatePaged:
+		case state == StatePaged:
 			if adopt != nil {
 				sh.pages = adopt[i].pages
 				sh.pageFree = adopt[i].pageFree

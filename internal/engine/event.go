@@ -27,11 +27,11 @@ const (
 // EventOptions selects the asynchronous discrete-event loop instead of
 // the synchronous round loop and configures its link model. The event
 // loop serves the same injection/handler/combiner callbacks over a
-// timestamped min-heap of packet events: each link carries a per-run
-// latency drawn from the configured distribution, a sender-side
-// bandwidth cap (one transmission start per Gap ticks), and the three
-// fault axes — transient link outages, straggler nodes, and packet
-// drop with retransmit-after-timeout.
+// timing wheel of packet events: each link carries a per-run latency
+// drawn from the configured distribution, a sender-side bandwidth cap
+// (one transmission start per Gap ticks), and the three fault axes —
+// transient link outages, straggler nodes, and packet drop with
+// retransmit-after-timeout.
 //
 // Every random property derives from the run seed and a stable entity
 // (link key, node index, packet ID, attempt number) — never from
@@ -78,7 +78,8 @@ type EventOptions struct {
 
 	// NodeOf and PeerOf, when set by the simulator, decode a link key
 	// into its sender and receiver node — the entities the straggler
-	// and matrix axes are keyed to. Nodes bounds the node index space.
+	// and matrix axes are keyed to. Nodes bounds the node index space
+	// (a sizing hint: the per-node memos grow past it on demand).
 	NodeOf func(key uint64) int
 	PeerOf func(key uint64) int
 	Nodes  int
@@ -110,6 +111,25 @@ func (o EventOptions) withDefaults() EventOptions {
 	return o
 }
 
+// maxHorizon caps the scheduling horizon (see horizon), and with it
+// the timing wheel at 2^17 ticks × 4 kinds of 4-byte list heads — 2 MiB.
+// A 65536-tick latency, gap, outage or timeout is orders of magnitude
+// past any routing time the engine prices.
+const maxHorizon = 1 << 16
+
+// horizon is the largest offset, in ticks, at which the loop ever
+// schedules an event on defaulted options: a delivery lands one link
+// latency ahead (at most Base plus the largest jitter or matrix extra,
+// times the straggler factor), a wake one straggler-stretched gap or
+// one outage ahead (outages end by tick RepairTime), and a
+// retransmission exactly RetransmitAfter ahead.
+func (o EventOptions) horizon() int64 {
+	extra := max(int64(o.Jitter), 2*int64(o.Scale-1))
+	sf := int64(o.StragglerFactor)
+	return max((int64(o.Base)+extra)*sf, int64(o.Gap)*sf,
+		int64(o.RetransmitAfter), int64(o.RepairTime))
+}
+
 // Validate rejects impossible knob values; callers converting user
 // input should validate before handing the options to New, which
 // panics on them (an invalid model is a programming error there).
@@ -131,9 +151,18 @@ func (o EventOptions) Validate() error {
 	if o.Drop < 0 || o.Drop >= 1 {
 		return fmt.Errorf("drop probability %v out of [0,1) (1 would never deliver)", o.Drop)
 	}
-	if o.Base < 0 || o.Jitter < 0 || o.Scale < 0 || o.Gap < 0 ||
-		o.RepairTime < 0 || o.StragglerFactor < 0 || o.RetransmitAfter < 0 {
-		return fmt.Errorf("negative event-engine knob")
+	// Bounding every knob first keeps the horizon product in range.
+	for _, v := range []int{o.Base, o.Jitter, o.Scale, o.Gap, o.RepairTime, o.StragglerFactor, o.RetransmitAfter} {
+		if v < 0 {
+			return fmt.Errorf("negative event-engine knob")
+		}
+		if v > maxHorizon {
+			return fmt.Errorf("event-engine knob %d exceeds the %d-tick scheduling horizon", v, maxHorizon)
+		}
+	}
+	if h := o.withDefaults().horizon(); h > maxHorizon {
+		return fmt.Errorf("event-engine scheduling horizon %d ticks exceeds %d (latency and gap times the straggler factor, repair time and retransmit timeout bound it)",
+			h, maxHorizon)
 	}
 	return nil
 }
@@ -156,38 +185,17 @@ const (
 	evArrive         // a packet is ready to enqueue on a link
 	evRetry          // a lost transmission's timeout expired
 	evFree           // a link may be able to start transmitting
+	numKinds
 )
 
-// event is one heap entry. The heap orders by (time, kind, key,
-// packet ID) — a total order over distinct events, so the execution
-// sequence is a pure function of the injected traffic and the seed.
-type event struct {
-	at      int64
-	kind    uint8
-	key     uint64
-	p       *packet.Packet // nil on evFree
-	attempt int32          // evRetry: upcoming attempt number
-}
-
-// eventLess is the heap order.
-func eventLess(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.kind != b.kind {
-		return a.kind < b.kind
-	}
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	pa, pb := -1, -1
-	if a.p != nil {
-		pa = a.p.ID
-	}
-	if b.p != nil {
-		pb = b.p.ID
-	}
-	return pa < pb
+// slabEvent is one pending event in the wheel's slab: the link key and
+// packet the event concerns (nil on evFree), and the index of the next
+// event in the same (tick, kind) list (-1 ends it; free slots chain the
+// free list). The event's tick and kind are implied by the list
+// holding it, and a retransmission's attempt number by its link.
+type slabEvent struct {
+	a    Arrival
+	next int32
 }
 
 // eventLink is one link's asynchronous state: its queue, its sampled
@@ -199,25 +207,72 @@ type eventLink struct {
 	freeAt   int64 // earliest next transmission start (bandwidth cap)
 	downTil  int64 // transient outage: no starts before this tick
 	wakeAt   int64 // pending evFree tick, -1 when none (dedup guard)
-	lat      int64
-	gap      int64
+	lat      int32 // crossing time, at most the horizon
+	gap      int32 // ticks between transmission starts, at most the horizon
+	attempt  int32 // attempt number of the pending retransmission
 }
 
+// linkChunkBits sizes the link slab's chunks: 256 links (16 KiB) per
+// chunk. Chunks are never reallocated, so growing the slab copies
+// nothing and a *eventLink stays valid for the whole run.
+const (
+	linkChunkBits = 8
+	linkChunk     = 1 << linkChunkBits
+)
+
+// eventIndexBytes is the memory cost of one dense link-index entry.
+const eventIndexBytes = 4
+
 // eventLoop is the per-run state of the asynchronous engine.
+//
+// Scheduling is a timing wheel. Every event lands at most horizon()
+// ticks ahead, so a ring of R > horizon ticks never holds two pending
+// ticks in one slot: heads[(tick mod R)*numKinds + kind] starts an
+// intrusive list of that (tick, kind)'s events in slab. The loop visits
+// ticks in order and, within a tick, kinds in order, detaching and
+// running each (tick, kind) list. An event created while (t, k) runs
+// is always scheduled at (t, k' > k) or a later tick — schedule panics
+// otherwise — so every (tick, kind) batch is complete when it runs.
+//
+// Within a batch only arrivals need an order: they enqueue on shared
+// queues and meet the combiner, so their batch is radix-sorted into
+// canonical (key, packet ID) order, exactly as the round engine's push
+// phase is. Deliveries, retransmissions and wakes touch only their own
+// packet, their own link and commutative counters — the handler
+// contract the round engine's drain already relies on, since its
+// hashed path drains in map order — so they run in list order. The
+// result is the one a total (time, kind, key, packet ID) order gives.
 type eventLoop struct {
-	e     *Engine
-	o     EventOptions
-	seed  uint64
-	heap  []event
-	links map[uint64]*eventLink
+	e    *Engine
+	o    EventOptions
+	seed uint64
+
+	heads   []int32     // per (tick mod R, kind) list head, -1 when empty
+	mask    int64       // R-1
+	slab    []slabEvent // pending events; free slots are chained from free
+	free    int32
+	pending int   // events in the wheel
+	now     int64 // tick being processed
+	kind    int   // kind being processed (-1 before the tick's first)
+	batch   []Arrival
+	scratch []Arrival
+
+	// Link state lives in a chunked slab addressed by link ID; index
+	// (dense, MaxKey entries) or byKey (hashed) maps a key to its
+	// ID+1, with zero meaning not yet touched.
+	index  []int32
+	byKey  map[uint64]int32
+	chunks []*[linkChunk]eventLink
+	nlinks int32
+
 	// linkRoot seeds the per-link property streams (latency draw,
 	// outage draw, per-link straggler fallback); nodeRoot the per-node
 	// straggler and coordinate streams. Both split by stable entity
 	// index, so sampled properties are independent of touch order.
 	linkRoot *prng.Source
 	nodeRoot *prng.Source
-	slow     map[int]bool   // straggler verdict per node
-	coord    map[int][2]int // matrix coordinate per node
+	slow     []int8     // straggler verdict per node: 0 undrawn, 1 fast, 2 slow
+	coord    [][2]int32 // matrix coordinate per node, each axis +1 (zero = undrawn)
 }
 
 // mix64 is the splitmix64 finalizer, the stateless hash behind
@@ -241,16 +296,37 @@ func unitDraw(seed, key, pid, attempt uint64) float64 {
 
 // runEvent executes the asynchronous discrete-event loop: the Event
 // counterpart of the synchronous loop in Run. It is strictly
-// sequential — the heap order is the only schedule — which is what
+// sequential — the wheel order is the only schedule — which is what
 // makes the Workers knob a no-op on results rather than a hazard.
 func (e *Engine) runEvent(inject func(ctx *Ctx), handle Handler, combine Combiner) Stats {
 	ev := &eventLoop{
 		e:        e,
 		o:        *e.event,
 		seed:     e.seed,
-		links:    make(map[uint64]*eventLink),
+		free:     -1,
+		kind:     -1,
 		linkRoot: prng.New(e.seed ^ 0x5ca1ab1e0ddba11),
 		nodeRoot: prng.New(e.seed ^ 0x0fabacadaba0beef),
+	}
+	ring := int64(1)
+	for ring <= ev.o.horizon() {
+		ring *= 2
+	}
+	ev.mask = ring - 1
+	ev.heads = make([]int32, ring*numKinds)
+	for i := range ev.heads {
+		ev.heads[i] = -1
+	}
+	if e.state == StateDense {
+		ev.index = make([]int32, e.shards[0].ctx.maxKey)
+	} else {
+		ev.byKey = make(map[uint64]int32)
+	}
+	if ev.o.Straggler > 0 {
+		ev.slow = make([]int8, ev.o.Nodes)
+	}
+	if ev.o.Model == LatencyMatrix {
+		ev.coord = make([][2]int32, ev.o.Nodes)
 	}
 	ctx := &e.shards[0].ctx
 	if inject != nil {
@@ -258,30 +334,48 @@ func (e *Engine) runEvent(inject func(ctx *Ctx), handle Handler, combine Combine
 	}
 	ev.harvest(ctx, 0)
 	// ctxPollMask paces the cancellation poll: one non-blocking channel
-	// read per 4096 heap events, the event-loop analogue of the round
-	// loop's per-round check.
+	// read per ~4096 events, the event-loop analogue of the round loop's
+	// per-round check.
 	const ctxPollMask = 1<<12 - 1
-	for n := 0; len(ev.heap) > 0; n++ {
-		if n&ctxPollMask == 0 {
-			e.checkContext()
-		}
-		x := ev.pop()
-		switch x.kind {
-		case evDeliver:
-			handle(ctx, Arrival{x.key, x.p}, int(x.at))
-			ev.harvest(ctx, x.at)
-		case evArrive:
-			ev.arrive(ctx, x, combine)
-		case evRetry:
-			l := ev.link(x.key)
-			ev.transmit(ctx, l, x.key, x.p, x.at, x.attempt)
-		case evFree:
-			l := ev.link(x.key)
-			if l.wakeAt == x.at {
-				l.wakeAt = -1
+	polled := ctxPollMask // poll before the first batch
+	for t := int64(0); ev.pending > 0; t++ {
+		ev.now = t
+		for kind := 0; kind < numKinds; kind++ {
+			ev.kind = kind
+			batch := ev.detach(int(t&ev.mask)*numKinds+kind, kind == evArrive)
+			if len(batch) == 0 {
+				continue
 			}
-			ev.tryStart(ctx, l, x.key, x.at)
+			if polled += len(batch); polled > ctxPollMask {
+				polled = 0
+				e.checkContext()
+			}
+			switch kind {
+			case evDeliver:
+				for _, a := range batch {
+					handle(ctx, a, int(t))
+				}
+				ev.harvest(ctx, t)
+			case evArrive:
+				for _, a := range batch {
+					ev.arrive(ctx, a, t, combine)
+				}
+			case evRetry:
+				for _, a := range batch {
+					l := ev.link(a.Key)
+					ev.transmit(ctx, l, a.Key, a.P, t, l.attempt)
+				}
+			case evFree:
+				for _, a := range batch {
+					l := ev.link(a.Key)
+					if l.wakeAt == t {
+						l.wakeAt = -1
+					}
+					ev.tryStart(ctx, l, a.Key, t)
+				}
+			}
 		}
+		ev.kind = -1
 	}
 	e.clearScratch()
 	var out Stats
@@ -292,13 +386,61 @@ func (e *Engine) runEvent(inject func(ctx *Ctx), handle Handler, combine Combine
 	return out
 }
 
+// schedule files an event at (at, kind). The wheel order equals the
+// total (time, kind, key, ID) order only if nothing is scheduled into
+// a (tick, kind) list already detached, or beyond the ring; both would
+// be an engine bug, so they panic.
+func (ev *eventLoop) schedule(at int64, kind int, a Arrival) {
+	if d := at - ev.now; d < 0 || d > ev.mask || (d == 0 && kind <= ev.kind) {
+		panic(fmt.Sprintf("engine: event (tick %d, kind %d) scheduled while running (tick %d, kind %d), outside the wheel's (tick %d, kind %d)..(tick %d) window",
+			at, kind, ev.now, ev.kind, ev.now, ev.kind+1, ev.now+ev.mask))
+	}
+	i := ev.free
+	if i >= 0 {
+		ev.free = ev.slab[i].next
+	} else {
+		i = int32(len(ev.slab))
+		ev.slab = append(ev.slab, slabEvent{})
+	}
+	slot := &ev.heads[int(at&ev.mask)*numKinds+kind]
+	ev.slab[i] = slabEvent{a: a, next: *slot}
+	*slot = i
+	ev.pending++
+}
+
+// detach empties one (tick, kind) list into the reused batch buffer
+// and returns its slab slots to the free list, sorting the batch into
+// canonical (key, packet ID) order when asked.
+func (ev *eventLoop) detach(slot int, sorted bool) []Arrival {
+	i := ev.heads[slot]
+	if i < 0 {
+		return nil
+	}
+	ev.heads[slot] = -1
+	batch := ev.batch[:0]
+	for i >= 0 {
+		x := &ev.slab[i]
+		batch = append(batch, x.a)
+		next := x.next
+		x.a, x.next = Arrival{}, ev.free
+		ev.free = i
+		i = next
+	}
+	ev.pending -= len(batch)
+	if sorted {
+		batch, ev.scratch = SortArrivals(batch, ev.scratch)
+	}
+	ev.batch = batch
+	return batch
+}
+
 // harvest converts the context's emitted arrivals into evArrive events
-// at tick t. The heap's (key, packet ID) tie-break gives them the same
-// canonical insertion order the round engine's radix sort does.
+// at tick t; the batch sort gives them the same canonical insertion
+// order the round engine's radix sort does.
 func (ev *eventLoop) harvest(ctx *Ctx, t int64) {
 	for s, bucket := range ctx.out {
 		for _, a := range bucket {
-			ev.push(event{at: t, kind: evArrive, key: a.Key, p: a.P})
+			ev.schedule(t, evArrive, a)
 		}
 		clear(bucket)
 		ctx.out[s] = bucket[:0]
@@ -309,21 +451,20 @@ func (ev *eventLoop) harvest(ctx *Ctx, t int64) {
 // wakes the link. Service never starts here: all of a tick's arrivals
 // settle before any of its transmission starts, mirroring the round
 // engine's push-then-drain phase barrier.
-func (ev *eventLoop) arrive(ctx *Ctx, x event, combine Combiner) {
-	l := ev.link(x.key)
-	if combine != nil && l.q != nil && l.q.Len() > 0 &&
-		combine(ctx, l.q, Arrival{x.key, x.p}) {
+func (ev *eventLoop) arrive(ctx *Ctx, a Arrival, t int64, combine Combiner) {
+	l := ev.link(a.Key)
+	if combine != nil && l.q != nil && l.q.Len() > 0 && combine(ctx, l.q, a) {
 		return
 	}
 	if l.q == nil {
 		l.q = ev.e.shards[0].takeQueue(ev.e)
 	}
-	x.p.EnqueuedAt = int(x.at)
-	l.q.Push(x.p)
+	a.P.EnqueuedAt = int(t)
+	l.q.Push(a.P)
 	if n := l.q.Len(); n > ctx.stats.MaxQueue {
 		ctx.stats.MaxQueue = n
 	}
-	ev.wake(l, x.key, x.at)
+	ev.wake(l, a.Key, t)
 }
 
 // wake schedules an evFree at the earliest tick the link could start
@@ -332,18 +473,12 @@ func (ev *eventLoop) wake(l *eventLink, key uint64, t int64) {
 	if l.inflight != nil || l.q == nil || l.q.Len() == 0 {
 		return
 	}
-	at := t
-	if l.freeAt > at {
-		at = l.freeAt
-	}
-	if l.downTil > at {
-		at = l.downTil
-	}
+	at := max(t, l.freeAt, l.downTil)
 	if l.wakeAt == at {
 		return
 	}
 	l.wakeAt = at
-	ev.push(event{at: at, kind: evFree, key: key})
+	ev.schedule(at, evFree, Arrival{Key: key})
 }
 
 // tryStart pops the link's head packet and begins transmitting it,
@@ -354,17 +489,10 @@ func (ev *eventLoop) tryStart(ctx *Ctx, l *eventLink, key uint64, t int64) {
 	if l.inflight != nil || l.q == nil || l.q.Len() == 0 {
 		return
 	}
-	start := t
-	if l.freeAt > start {
-		start = l.freeAt
-	}
-	if l.downTil > start {
-		start = l.downTil
-	}
-	if start > t {
+	if start := max(t, l.freeAt, l.downTil); start > t {
 		if l.wakeAt != start {
 			l.wakeAt = start
-			ev.push(event{at: start, kind: evFree, key: key})
+			ev.schedule(start, evFree, Arrival{Key: key})
 		}
 		return
 	}
@@ -387,13 +515,13 @@ func (ev *eventLoop) transmit(ctx *Ctx, l *eventLink, key uint64, p *packet.Pack
 	if ev.o.Drop > 0 && attempt < maxDropAttempts &&
 		unitDraw(ev.seed, key, uint64(p.ID), uint64(attempt)) < ev.o.Drop {
 		ctx.stats.Retransmits++
-		l.inflight = p
-		ev.push(event{at: t + int64(ev.o.RetransmitAfter), kind: evRetry, key: key, p: p, attempt: attempt + 1})
+		l.inflight, l.attempt = p, attempt+1
+		ev.schedule(t+int64(ev.o.RetransmitAfter), evRetry, Arrival{key, p})
 		return
 	}
 	l.inflight = nil
-	l.freeAt = t + l.gap
-	ev.push(event{at: t + l.lat, kind: evDeliver, key: key, p: p})
+	l.freeAt = t + int64(l.gap)
+	ev.schedule(t+int64(l.lat), evDeliver, Arrival{key, p})
 	ev.wake(l, key, t)
 }
 
@@ -403,11 +531,28 @@ func (ev *eventLoop) transmit(ctx *Ctx, l *eventLink, key uint64, p *packet.Pack
 // verdicts depend only on the seed and the entity — not on when, or
 // whether, other links were touched first.
 func (ev *eventLoop) link(key uint64) *eventLink {
-	l := ev.links[key]
-	if l != nil {
-		return l
+	var id int32
+	if ev.index != nil {
+		id = ev.index[key]
+	} else {
+		id = ev.byKey[key]
 	}
-	l = &eventLink{wakeAt: -1}
+	if id != 0 {
+		id--
+		return &ev.chunks[id>>linkChunkBits][id&(linkChunk-1)]
+	}
+	id = ev.nlinks
+	ev.nlinks++
+	if int(id>>linkChunkBits) == len(ev.chunks) {
+		ev.chunks = append(ev.chunks, new([linkChunk]eventLink))
+	}
+	if ev.index != nil {
+		ev.index[key] = id + 1
+	} else {
+		ev.byKey[key] = id + 1
+	}
+	l := &ev.chunks[id>>linkChunkBits][id&(linkChunk-1)]
+	l.wakeAt = -1
 	src := ev.linkRoot.Split(key)
 	lat := int64(ev.o.Base)
 	switch ev.o.Model {
@@ -438,22 +583,31 @@ func (ev *eventLoop) link(key uint64) *eventLink {
 			gap *= int64(ev.o.StragglerFactor)
 		}
 	}
-	l.lat, l.gap = lat, gap
-	ev.links[key] = l
+	l.lat, l.gap = int32(lat), int32(gap)
 	return l
+}
+
+// growTo extends a per-node memo so node indexes it, growing
+// geometrically (simulators may set NodeOf without Nodes).
+func growTo[T any](s []T, node int) []T {
+	if node < len(s) {
+		return s
+	}
+	return append(s, make([]T, max(node+1, 2*len(s))-len(s))...)
 }
 
 // nodeSlow memoizes the per-node straggler draw.
 func (ev *eventLoop) nodeSlow(node int) bool {
-	if v, ok := ev.slow[node]; ok {
-		return v
+	ev.slow = growTo(ev.slow, node)
+	if v := ev.slow[node]; v != 0 {
+		return v == 2
 	}
-	if ev.slow == nil {
-		ev.slow = make(map[int]bool)
+	slow := ev.nodeRoot.Split(uint64(node)).Float64() < ev.o.Straggler
+	ev.slow[node] = 1
+	if slow {
+		ev.slow[node] = 2
 	}
-	v := ev.nodeRoot.Split(uint64(node)).Float64() < ev.o.Straggler
-	ev.slow[node] = v
-	return v
+	return slow
 }
 
 // pairDelay is the LatencyMatrix extra latency: the Manhattan
@@ -471,58 +625,13 @@ func (ev *eventLoop) pairDelay(a, b int) int64 {
 }
 
 // nodeCoord memoizes the per-node matrix coordinate.
-func (ev *eventLoop) nodeCoord(node int) [2]int {
-	if c, ok := ev.coord[node]; ok {
-		return c
-	}
-	if ev.coord == nil {
-		ev.coord = make(map[int][2]int)
+func (ev *eventLoop) nodeCoord(node int) [2]int32 {
+	ev.coord = growTo(ev.coord, node)
+	if c := ev.coord[node]; c[0] != 0 {
+		return [2]int32{c[0] - 1, c[1] - 1}
 	}
 	src := ev.nodeRoot.Split(uint64(node) | 1<<32)
-	c := [2]int{src.Intn(ev.o.Scale), src.Intn(ev.o.Scale)}
-	ev.coord[node] = c
+	c := [2]int32{int32(src.Intn(ev.o.Scale)), int32(src.Intn(ev.o.Scale))}
+	ev.coord[node] = [2]int32{c[0] + 1, c[1] + 1}
 	return c
-}
-
-// push inserts an event into the min-heap.
-func (ev *eventLoop) push(x event) {
-	h := append(ev.heap, x)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	ev.heap = h
-}
-
-// pop removes and returns the minimum event.
-func (ev *eventLoop) pop() event {
-	h := ev.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = event{} // drop the packet reference
-	h = h[:last]
-	i := 0
-	for {
-		left, right := 2*i+1, 2*i+2
-		small := i
-		if left < len(h) && eventLess(h[left], h[small]) {
-			small = left
-		}
-		if right < len(h) && eventLess(h[right], h[small]) {
-			small = right
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	ev.heap = h
-	return top
 }

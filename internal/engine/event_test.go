@@ -6,12 +6,96 @@
 package engine
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
 	"pramemu/internal/packet"
 	"pramemu/internal/queue"
 )
+
+// The event golden runs route 400 packets from 30 start nodes over a
+// 40-link line, so links queue and see every fault axis many times.
+const goldenNpkts, goldenStarts, goldenLength = 400, 30, 40
+
+// lineNodeOf and linePeerOf decode a line link key into its endpoints:
+// link k runs from node k to node k+1.
+func lineNodeOf(key uint64) int { return int(key) }
+func linePeerOf(key uint64) int { return int(key) + 1 }
+
+// goldenEventCases are the knob sets TestEventOrderGolden pins. The
+// last four put the scheduling horizon (the largest offset at which an
+// event can be scheduled) at its extremes: a wide matrix latency, a
+// long retransmit timeout, a long repair time, and a large straggler
+// gap.
+func goldenEventCases() []struct {
+	name string
+	opts Options
+} {
+	return []struct {
+		name string
+		opts Options
+	}{
+		{"defaults", Options{Workers: 1, Seed: 42, Event: &EventOptions{}}},
+		{"faulty", faultyOpts(1)},
+		{"matrix16", Options{Workers: 1, Seed: 42, Event: &EventOptions{
+			Model: LatencyMatrix, Scale: 16, NodeOf: lineNodeOf, PeerOf: linePeerOf,
+		}}},
+		{"drop-rto40", Options{Workers: 1, Seed: 42, Event: &EventOptions{Drop: 0.5, RetransmitAfter: 40}}},
+		{"fail-repair64", Options{Workers: 1, Seed: 42, Event: &EventOptions{LinkFailure: 0.9, RepairTime: 64}}},
+		{"straggler9-gap3", Options{Workers: 1, Seed: 42, Event: &EventOptions{
+			Straggler: 0.3, StragglerFactor: 9, Gap: 3, NodeOf: lineNodeOf, PeerOf: linePeerOf,
+		}}},
+	}
+}
+
+// traceDigest is an FNV-1a hash over every packet's (hops, delay).
+func traceDigest(tr [][2]int) string {
+	h := fnv.New64a()
+	for _, x := range tr {
+		fmt.Fprintf(h, "%d,%d;", x[0], x[1])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestEventOrderGolden pins the event loop's exact schedule: the
+// statistics and a digest of the per-packet traces for each golden
+// knob set. Any change to the (time, kind, key, packet ID) processing
+// order, or to a sampled link property, moves at least one of them.
+func TestEventOrderGolden(t *testing.T) {
+	want := map[string]struct {
+		stats  string
+		traces string
+	}{
+		"defaults": {
+			"{Rounds:410 RequestRounds:0 MaxQueue:14 TotalDelay:73900 MaxPacketSteps:410 DeliveredRequests:400 DeliveredReplies:0 Merges:0 Retransmits:0 MaxModuleLoad:400 Aux:[0 0 0 0]}",
+			"26d29b890356cab8"},
+		"faulty": {
+			"{Rounds:2903 RequestRounds:0 MaxQueue:81 TotalDelay:533875 MaxPacketSteps:2674 DeliveredRequests:400 DeliveredReplies:0 Merges:0 Retransmits:1753 MaxModuleLoad:400 Aux:[0 0 0 0]}",
+			"11cf25c05329f0d7"},
+		"matrix16": {
+			"{Rounds:559 RequestRounds:0 MaxQueue:14 TotalDelay:12135 MaxPacketSteps:105 DeliveredRequests:400 DeliveredReplies:0 Merges:0 Retransmits:0 MaxModuleLoad:400 Aux:[0 0 0 0]}",
+			"f4463d35b9da0b1b"},
+		"drop-rto40": {
+			"{Rounds:23770 RequestRounds:0 MaxQueue:49 TotalDelay:4709980 MaxPacketSteps:22490 DeliveredRequests:400 DeliveredReplies:0 Merges:0 Retransmits:10228 MaxModuleLoad:400 Aux:[0 0 0 0]}",
+			"fca135929b6751ff"},
+		"fail-repair64": {
+			"{Rounds:463 RequestRounds:0 MaxQueue:53 TotalDelay:95100 MaxPacketSteps:463 DeliveredRequests:400 DeliveredReplies:0 Merges:0 Retransmits:0 MaxModuleLoad:400 Aux:[0 0 0 0]}",
+			"ad9619e8320ae3e9"},
+		"straggler9-gap3": {
+			"{Rounds:10808 RequestRounds:0 MaxQueue:137 TotalDelay:2134924 MaxPacketSteps:10720 DeliveredRequests:400 DeliveredReplies:0 Merges:0 Retransmits:0 MaxModuleLoad:400 Aux:[0 0 0 0]}",
+			"e44a4f13d9ec673f"},
+	}
+	for _, c := range goldenEventCases() {
+		st, tr := lineRunOpts(t, c.opts, goldenNpkts, goldenStarts, goldenLength)
+		got := fmt.Sprintf("%+v", st)
+		w := want[c.name]
+		if got != w.stats || traceDigest(tr) != w.traces {
+			t.Errorf("%s:\n  stats  %s\n  want   %s\n  traces %s, want %s", c.name, got, w.stats, traceDigest(tr), w.traces)
+		}
+	}
+}
 
 // TestEventUnitLatencyMatchesRoundEngine is the bridge between the
 // two loops: the event engine at its defaults (Base 1, Gap 1, no
@@ -194,6 +278,8 @@ func TestEventOptionsValidate(t *testing.T) {
 		{LinkFailure: 1.5},
 		{Straggler: -1},
 		{Base: -2},
+		{RepairTime: maxHorizon + 1},
+		{Base: maxHorizon / 4}, // latency × default straggler factor 4 passes the horizon
 	}
 	for _, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -252,5 +338,76 @@ func TestEventCombinerRuns(t *testing.T) {
 	}
 	if st.MaxQueue != 1 {
 		t.Fatalf("max queue %d, want 1 (second packet combined, not queued)", st.MaxQueue)
+	}
+}
+
+// TestEventDenseIndexMatchesMap: the event loop's link state is
+// addressed through a dense index when the run declares MaxKey, and
+// through a hash map when it does not or when MemBudget cannot afford
+// the index. All three give the same run, on every golden knob set.
+func TestEventDenseIndexMatchesMap(t *testing.T) {
+	for _, c := range goldenEventCases() {
+		base, baseTr := lineRunOpts(t, c.opts, goldenNpkts, goldenStarts, goldenLength)
+		for _, v := range []struct {
+			name     string
+			maxKey   uint64
+			budget   int64
+			state    State
+			degraded bool
+		}{
+			{"dense", goldenLength, 0, StateDense, false},
+			{"map", 0, 0, StateHashed, false},
+			{"over-budget", goldenLength, goldenLength*eventIndexBytes - 1, StateHashed, true},
+		} {
+			opts := c.opts
+			opts.MaxKey, opts.MemBudget = v.maxKey, v.budget
+			if eng := New(opts); eng.State() != v.state || eng.MemStats().Degraded != v.degraded {
+				t.Fatalf("%s/%s: state %v degraded %v, want %v %v",
+					c.name, v.name, eng.State(), eng.MemStats().Degraded, v.state, v.degraded)
+			}
+			st, tr := lineRunOpts(t, opts, goldenNpkts, goldenStarts, goldenLength)
+			if st != base {
+				t.Fatalf("%s/%s: stats diverged:\n%+v\n%+v", c.name, v.name, st, base)
+			}
+			if traceDigest(tr) != traceDigest(baseTr) {
+				t.Fatalf("%s/%s: per-packet traces diverged", c.name, v.name)
+			}
+		}
+	}
+}
+
+// TestEventSchedulePanicsOutsideWindow pins the wheel's ordering
+// guard: scheduling into a (tick, kind) list that is already running,
+// into the past, or beyond the ring would break the (time, kind, key,
+// ID) order, so it panics instead.
+func TestEventSchedulePanicsOutsideWindow(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		at   int64
+		kind int
+	}{
+		{"same kind", 10, evArrive},
+		{"earlier kind", 10, evDeliver},
+		{"past tick", 9, evFree},
+		{"beyond the ring", 10 + 64, evDeliver},
+	} {
+		ev := &eventLoop{heads: make([]int32, 64*numKinds), mask: 63, free: -1, now: 10, kind: evArrive}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: scheduling (tick %d, kind %d) at (tick 10, kind %d) did not panic", c.name, c.at, c.kind, evArrive)
+				}
+			}()
+			ev.schedule(c.at, c.kind, Arrival{})
+		}()
+	}
+	ev := &eventLoop{heads: make([]int32, 64*numKinds), mask: 63, free: -1, now: 10, kind: evArrive}
+	for i := range ev.heads {
+		ev.heads[i] = -1
+	}
+	ev.schedule(10, evRetry, Arrival{})
+	ev.schedule(10+63, evDeliver, Arrival{})
+	if ev.pending != 2 {
+		t.Fatalf("pending %d after two in-window schedules, want 2", ev.pending)
 	}
 }

@@ -1,14 +1,12 @@
 // Package metrics provides the reporting primitives the benchmark
 // harness uses to regenerate the paper's results: aligned ASCII
-// tables (one per experiment), integer histograms (queue-occupancy
-// distributions), and labelled measurement series with linear-fit
-// summaries ("measured time = a·n + b").
+// tables (one per experiment) and labelled measurement series with
+// linear-fit summaries ("measured time = a·n + b").
 package metrics
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"pramemu/internal/mathx"
@@ -83,77 +81,6 @@ func (t *Table) Fprint(w io.Writer) {
 func (t *Table) String() string {
 	var b strings.Builder
 	t.Fprint(&b)
-	return b.String()
-}
-
-// Histogram counts integer observations.
-type Histogram struct {
-	counts map[int]int
-	total  int
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{counts: make(map[int]int)} }
-
-// Observe records one value.
-func (h *Histogram) Observe(v int) {
-	h.counts[v]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Count returns how many times v was observed.
-func (h *Histogram) Count(v int) int { return h.counts[v] }
-
-// Max returns the largest observed value (0 if empty).
-func (h *Histogram) Max() int {
-	max := 0
-	for v := range h.counts {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// Quantile returns the smallest value v such that at least fraction q
-// of observations are <= v. It panics on an empty histogram.
-func (h *Histogram) Quantile(q float64) int {
-	if h.total == 0 {
-		panic("metrics: quantile of empty histogram")
-	}
-	keys := make([]int, 0, len(h.counts))
-	for v := range h.counts {
-		keys = append(keys, v)
-	}
-	sort.Ints(keys)
-	need := int(q * float64(h.total))
-	if need < 1 {
-		need = 1
-	}
-	seen := 0
-	for _, v := range keys {
-		seen += h.counts[v]
-		if seen >= need {
-			return v
-		}
-	}
-	return keys[len(keys)-1]
-}
-
-// String renders "value: count" lines in ascending order.
-func (h *Histogram) String() string {
-	keys := make([]int, 0, len(h.counts))
-	for v := range h.counts {
-		keys = append(keys, v)
-	}
-	sort.Ints(keys)
-	var b strings.Builder
-	for _, v := range keys {
-		fmt.Fprintf(&b, "%6d: %d\n", v, h.counts[v])
-	}
 	return b.String()
 }
 

@@ -45,41 +45,6 @@ func TestTablePanics(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	for _, v := range []int{1, 1, 2, 3, 3, 3, 9} {
-		h.Observe(v)
-	}
-	if h.Total() != 7 || h.Count(3) != 3 || h.Max() != 9 {
-		t.Fatalf("histogram stats wrong: total=%d count3=%d max=%d", h.Total(), h.Count(3), h.Max())
-	}
-	if q := h.Quantile(0.5); q != 2 {
-		t.Fatalf("median = %d, want 2", q)
-	}
-	if q := h.Quantile(1.0); q != 9 {
-		t.Fatalf("q100 = %d, want 9", q)
-	}
-	if q := h.Quantile(0.0); q != 1 {
-		t.Fatalf("q0 = %d, want 1", q)
-	}
-	if !strings.Contains(h.String(), "3: 3") {
-		t.Fatalf("histogram string:\n%s", h.String())
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram()
-	if h.Max() != 0 || h.Total() != 0 {
-		t.Fatal("empty histogram stats")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("quantile of empty histogram should panic")
-		}
-	}()
-	h.Quantile(0.5)
-}
-
 func TestSeriesFit(t *testing.T) {
 	s := NewSeries("mesh")
 	for n := 1; n <= 8; n++ {

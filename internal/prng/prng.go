@@ -32,6 +32,14 @@ type Source struct {
 // New returns a Source seeded from the given 64-bit seed. Distinct
 // seeds yield statistically independent streams.
 func New(seed uint64) *Source {
+	src := seeded(seed)
+	return &src
+}
+
+// seeded is New by value. New and Split stay small enough to inline,
+// so a caller that keeps a Source local (a short-lived substream drawn
+// from a few times) gets it on the stack instead of the heap.
+func seeded(seed uint64) Source {
 	src := Source{seed: seed}
 	sm := seed
 	for i := range src.s {
@@ -42,7 +50,7 @@ func New(seed uint64) *Source {
 	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
 		src.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &src
+	return src
 }
 
 // Split derives the i-th substream of s without perturbing s's own
@@ -51,10 +59,16 @@ func New(seed uint64) *Source {
 // has been consumed, so parallel and sequential simulations that hand
 // substream i to node i see identical randomness.
 func (s *Source) Split(i uint64) *Source {
+	src := s.split(i)
+	return &src
+}
+
+// split is Split by value (see seeded).
+func (s *Source) split(i uint64) Source {
 	sm := s.seed ^ 0x6a09e667f3bcc909
 	base := splitmix64(&sm)
 	mix := base ^ bits.RotateLeft64(i*0xd1342543de82ef95+0x2545f4914f6cdd1d, 17)
-	return New(mix)
+	return seeded(mix)
 }
 
 // Uint64 returns the next 64 uniformly random bits.

@@ -56,6 +56,21 @@ func TestSplitStreamsDistinct(t *testing.T) {
 	}
 }
 
+// TestLocalSplitDoesNotAllocate pins the inlining contract of New and
+// Split: a substream that stays local to its caller lives on the
+// stack, so per-entity draws (one substream per link or node) cost no
+// heap allocation.
+func TestLocalSplitDoesNotAllocate(t *testing.T) {
+	root := New(9)
+	var sink uint64
+	if allocs := testing.AllocsPerRun(100, func() {
+		src := root.Split(sink)
+		sink += src.Uint64()
+	}); allocs != 0 {
+		t.Fatalf("a local Split allocated %.1f objects, want 0", allocs)
+	}
+}
+
 func TestIntnRange(t *testing.T) {
 	s := New(3)
 	for n := 1; n <= 64; n++ {
