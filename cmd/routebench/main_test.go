@@ -604,7 +604,7 @@ func TestRunSweepReportRoundTrip(t *testing.T) {
 // pool width. Drift means a behavior change — regenerate the
 // expectation (see sweeps/README.md) when it is intentional.
 func TestRunSweepsMatchExpectedArtifacts(t *testing.T) {
-	for _, name := range []string{"smoke", "emul", "event"} {
+	for _, name := range []string{"smoke", "emul", "event", "dispatch"} {
 		var b strings.Builder
 		spec := filepath.Join("..", "..", "sweeps", name+".json")
 		if err := run(&b, config{sweep: spec}); err != nil {

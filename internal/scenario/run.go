@@ -148,34 +148,27 @@ func RunCellContext(ctx context.Context, c Cell) (res Result, err error) {
 		defer ref.Release()
 		b = built
 	}
-	gen, ok := workload.Lookup(c.Work.Name)
-	if !ok {
-		return Result{}, fmt.Errorf("unknown workload %q (known: %v)", c.Work.Name, workload.Names())
-	}
-	if err := gen.Check(b); err != nil {
-		return Result{}, err
-	}
-	p := c.Work.params().Defaulted()
-	if p.Fraction < 0 || p.Fraction > 1 {
-		return Result{}, fmt.Errorf("workload %s: fraction %v out of [0,1]", c.Work.Name, p.Fraction)
-	}
-	if c.Topo.Leveled && b.Spec == nil {
-		return Result{}, fmt.Errorf("%s has no leveled unrolling", b.Name())
-	}
-	if b.Nodes() > topology.MaxNodes {
-		return Result{}, fmt.Errorf("%s has %d nodes, exceeding the simulator's node-id limit (%d)", b.Name(), b.Nodes(), topology.MaxNodes)
-	}
 	if c.Trials < 1 {
 		c.Trials = 1
 	}
 	if c.Mode == ModeRoute {
 		c.Mode = ""
 	}
-	if err := ModeCheck(c.Mode, gen.Class); err != nil {
-		return Result{}, fmt.Errorf("workload %s: %w", c.Work.Name, err)
-	}
 	if c.Engine == EngineRound {
 		c.Engine = ""
+	}
+	gen, err := lookupWork(c.Work)
+	if err != nil {
+		return Result{}, err
+	}
+	if err := gen.Check(b); err != nil {
+		return Result{}, err
+	}
+	if err := checkTopo(b, c.Topo); err != nil {
+		return Result{}, err
+	}
+	if err := checkMode(c.Mode, gen); err != nil {
+		return Result{}, err
 	}
 	if err := EngineCheck(c.Engine); err != nil {
 		return Result{}, err
@@ -183,15 +176,46 @@ func RunCellContext(ctx context.Context, c Cell) (res Result, err error) {
 	if c.Engine != "" && c.Mode != "" {
 		return Result{}, fmt.Errorf("the event engine prices raw routing only; %s cells use synchronous rounds", c.Mode)
 	}
-	if c.Mode != "" {
-		return runEmulCell(ctx, b, gen, p, c)
+	p := c.Work.params().Defaulted()
+	var ms engine.MemStats
+	var lease *engine.Lease
+	if c.Engine == "" {
+		// Event cells keep their own link map; only round cells carry
+		// engine tables worth recycling.
+		lk := leaseKey(c)
+		lease = leases.Get(lk)
+		defer leases.Put(lk, lease)
 	}
-	// Event cells route generically even on the mesh: the §3.4
-	// three-stage router is a synchronous construction.
-	if c.Engine == "" && meshRouted(b, c.Topo, gen.Class, c.Mode) {
-		return runMeshCell(ctx, b, b.Graph.(*mesh.Grid), gen, p, c)
+	skel, trial, err := router(ctx, b, gen, p, c, &ms, lease)
+	if err != nil {
+		return Result{}, err
 	}
-	return runGenericCell(ctx, b, gen, p, c)
+	rounds := make([]int, 0, c.Trials)
+	maxQs := make([]int, 0, c.Trials)
+	arena := packet.GetArena()
+	defer packet.PutArena(arena)
+	start := time.Now()
+	for t := 0; t < c.Trials; t++ {
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
+		s := c.Seed + uint64(t)
+		arena.Reset()
+		pkts, err := gen.Generate(b, p, arena, s)
+		if err != nil {
+			return Result{}, err
+		}
+		r, q, err := trial(pkts, s)
+		if err != nil {
+			return Result{}, err
+		}
+		rounds = append(rounds, r)
+		maxQs = append(maxQs, q)
+	}
+	if c.Engine == "" {
+		*skel = memStats(*skel, ms, arena)
+	}
+	return finish(*skel, c, rounds, maxQs, time.Since(start)), nil
 }
 
 // RunCellSafe prices the cell like RunCellContext but never panics
@@ -291,92 +315,129 @@ func memStats(res Result, ms engine.MemStats, arena *packet.Arena) Result {
 	return res
 }
 
-// emulNetwork adapts the cell's topology for the emulator, mirroring
-// the route-mode dispatch: the specialized §3.3 two-phase scheme
-// serves erew cells on the mesh, and everything else goes through the
-// generic topology adapter — on the Algorithm 2.1 unrolling when the
-// cell (or a leveled-only family) selects it, on the Algorithm
-// 2.2-style point-to-point view otherwise. The returned view string
-// names the router for reports.
-func emulNetwork(ctx context.Context, b topology.Built, gen workload.Generator, c Cell, ms *engine.MemStats, lease *engine.Lease) (emul.Network, string, error) {
-	if meshRouted(b, c.Topo, gen.Class, c.Mode) {
+// trialFunc routes one trial's packets, generated at seed s, and
+// returns the trial's rounds and max queue.
+type trialFunc func(pkts []*packet.Packet, s uint64) (rounds, maxQ int, err error)
+
+// router resolves the cell's path once and returns the Result
+// skeleton with the per-trial routing step. Route-mode cells run the
+// specialized §3.4 mesh router on permutation-class and local traffic
+// on the mesh; everything else routes generically — Algorithm 2.1 on
+// the leveled unrolling when the cell (or a leveled-only family)
+// selects it, Algorithm 2.2 on the graph otherwise — with combining
+// enabled for many-one traffic. Emulation-mode cells mirror that
+// choice through the emulator's adapters: the §3.3 two-phase scheme
+// serves erew cells on the mesh, the generic topology adapter the
+// rest. Event cells route generically even on the mesh: the §3.4
+// three-stage router is a synchronous construction. p arrives
+// pre-defaulted and validated by RunCellContext.
+func router(ctx context.Context, b topology.Built, gen workload.Generator, p workload.Params, c Cell, ms *engine.MemStats, lease *engine.Lease) (*Result, trialFunc, error) {
+	res := &Result{Family: c.Topo.Family}
+	if c.Engine == "" && meshRouted(b, c.Topo, gen.Class, c.Mode) {
 		alg, err := meshAlgorithm(c.Algorithm)
 		if err != nil {
-			return nil, "", err
+			return nil, nil, err
 		}
 		disc, err := meshDiscipline(c.Discipline)
 		if err != nil {
-			return nil, "", err
+			return nil, nil, err
 		}
-		net := &emul.MeshNetwork{
-			G: b.Graph.(*mesh.Grid),
-			Opts: mesh.Options{
-				Context: ctx, Algorithm: alg, Discipline: disc,
-				HashedKeys: c.Hashed, PagedKeys: c.Paged,
-				MemBudget: c.MemBudget, MemStats: ms, Lease: lease,
-			},
+		g := b.Graph.(*mesh.Grid)
+		opts := mesh.Options{
+			Context: ctx, Algorithm: alg, Discipline: disc, Workers: c.Workers,
+			HashedKeys: c.Hashed, PagedKeys: c.Paged, MemBudget: c.MemBudget,
+			MemStats: ms, Lease: lease,
 		}
-		return net, "mesh(§3.3)", nil
+		res.Algorithm, res.Discipline = algName(c.Algorithm), discName(c.Discipline)
+		if c.Mode != "" {
+			res.View = "mesh(§3.3)"
+			return res, emulTrial(res, &emul.MeshNetwork{G: g, Opts: opts}, gen, c), nil
+		}
+		if gen.Class == workload.ClassLocal {
+			opts.LocalityBound = p.D
+			opts.SliceRows = max(1, p.D/4)
+		}
+		res.Topology, res.Nodes, res.Diameter, res.View = g.Name(), g.Nodes(), g.Diameter(), "mesh(§3.4)"
+		return res, func(pkts []*packet.Packet, s uint64) (int, int, error) {
+			opts.Seed = s * 31
+			st := mesh.Route(g, pkts, opts)
+			return st.Rounds, st.MaxQueue, nil
+		}, nil
 	}
-	var (
-		net  *emul.TopologyNetwork
-		view string
-		err  error
-	)
-	if b.Graph != nil && !c.Topo.Leveled {
-		net, err = emul.NewDirectTopologyNetwork(b)
-		view = "direct(2.2)"
-	} else {
-		net, err = emul.NewTopologyNetwork(b)
-		view = "leveled(2.1)"
+	// Validation guarantees a leveled cell has an unrolling.
+	useSpec := b.Graph == nil || c.Topo.Leveled
+	res.View = "direct(2.2)"
+	if useSpec {
+		res.View = "leveled(2.1)"
 	}
-	if err != nil {
-		return nil, "", err
+	// Only the generic routers honor the ablation; the mesh machinery
+	// has no phase-1 switch, so the flag is not recorded there.
+	res.SkipPhase1 = c.SkipPhase1
+	if c.Mode != "" {
+		newNet := emul.NewDirectTopologyNetwork
+		if useSpec {
+			newNet = emul.NewTopologyNetwork
+		}
+		net, err := newNet(b)
+		if err != nil {
+			return nil, nil, err
+		}
+		net.Context, net.SkipPhase1 = ctx, c.SkipPhase1
+		net.HashedKeys, net.PagedKeys, net.MemBudget = c.Hashed, c.Paged, c.MemBudget
+		net.MemStats, net.Lease = ms, lease
+		return res, emulTrial(res, net, gen, c), nil
 	}
-	net.Context = ctx
-	net.SkipPhase1 = c.SkipPhase1
-	net.HashedKeys = c.Hashed
-	net.PagedKeys = c.Paged
-	net.MemBudget = c.MemBudget
-	net.MemStats = ms
-	net.Lease = lease
-	return net, view, nil
+	res.Topology, res.Nodes, res.Diameter = b.Name(), b.Nodes(), b.Diameter()
+	if useSpec {
+		res.Topology = b.Spec.Name()
+	}
+	var evOpts *engine.EventOptions
+	if c.Engine == EngineEvent {
+		var err error
+		if evOpts, err = eventOptions(c.Latency, c.Fault); err != nil {
+			return nil, nil, err
+		}
+		res.Engine, res.Fault = EngineEvent, c.Fault.Label()
+	}
+	combine := gen.Needs&workload.NeedsCombining != 0
+	// Round-engine runs never retransmit, so the event arms' Retransmits
+	// accumulation leaves round cells at zero.
+	if useSpec {
+		return res, func(pkts []*packet.Packet, s uint64) (int, int, error) {
+			st := leveled.Route(b.Spec, pkts, leveled.Options{
+				Context: ctx,
+				Seed:    s * 31, SkipPhase1: c.SkipPhase1, Workers: c.Workers,
+				HashedKeys: c.Hashed, PagedKeys: c.Paged, MemBudget: c.MemBudget,
+				MemStats: ms, Lease: lease, Combine: combine, Event: evOpts,
+			})
+			res.Retransmits += st.Retransmits
+			return st.Rounds, st.MaxQueue, nil
+		}, nil
+	}
+	return res, func(pkts []*packet.Packet, s uint64) (int, int, error) {
+		st, err := simnet.Route(b.Graph, pkts, simnet.Options{
+			Context: ctx,
+			Seed:    s * 31, SkipPhase1: c.SkipPhase1, Workers: c.Workers,
+			HashedKeys: c.Hashed, PagedKeys: c.Paged, MemBudget: c.MemBudget,
+			MemStats: ms, Lease: lease, Combine: combine, Event: evOpts,
+		})
+		res.Retransmits += st.Retransmits
+		return st.Rounds, st.MaxQueue, err
+	}, nil
 }
 
-// runEmulCell prices one emulated PRAM step per trial instead of raw
-// routing (Theorems 2.5/2.6): the workload's packets become the
-// step's memory-access pattern via workload.StepRequests, the
-// emulator hashes each address to its module and routes requests with
-// read replies — combining enabled on crcw cells — and the recorded
-// rounds are the step's total cost including any rehash penalty. Each
-// trial draws a fresh hash function from the trial seed, so results
-// derive from the spec alone. p arrives pre-defaulted and validated
-// by RunCell.
-func runEmulCell(ctx context.Context, b topology.Built, gen workload.Generator, p workload.Params, c Cell) (Result, error) {
-	var ms engine.MemStats
-	lk := leaseKey(c)
-	lease := leases.Get(lk)
-	defer leases.Put(lk, lease)
-	net, view, err := emulNetwork(ctx, b, gen, c, &ms, lease)
-	if err != nil {
-		return Result{}, err
-	}
-	rounds := make([]int, 0, c.Trials)
-	maxQs := make([]int, 0, c.Trials)
-	merges, rehashes, maxLoad := 0, 0, 0
-	arena := packet.GetArena()
-	defer packet.PutArena(arena)
-	start := time.Now()
-	for trial := 0; trial < c.Trials; trial++ {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		s := c.Seed + uint64(trial)
-		arena.Reset()
-		pkts, err := gen.Generate(b, p, arena, s)
-		if err != nil {
-			return Result{}, err
-		}
+// emulTrial prices one emulated PRAM step per trial instead of raw
+// routing (Theorems 2.5/2.6): the workload's packets become the step's
+// memory-access pattern via workload.StepRequests, the emulator hashes
+// each address to its module and routes requests with read replies —
+// combining enabled on crcw cells — and the trial's rounds are the
+// step's total cost including any rehash penalty. Each trial draws a
+// fresh hash function from the trial seed, so results derive from the
+// spec alone. It fills res from the adapter, and the returned step
+// accumulates Merges, Rehashes and MaxModuleLoad into it.
+func emulTrial(res *Result, net emul.Network, gen workload.Generator, c Cell) trialFunc {
+	res.Topology, res.Nodes, res.Diameter, res.Mode = net.Name(), net.Nodes(), net.Diameter(), c.Mode
+	return func(pkts []*packet.Packet, s uint64) (int, int, error) {
 		reqs := workload.StepRequests(gen.Class, net.Nodes(), pkts)
 		e, err := emul.New(net, emul.Config{
 			Memory:  emulMemorySize(net.Nodes()),
@@ -385,193 +446,18 @@ func runEmulCell(ctx context.Context, b topology.Built, gen workload.Generator, 
 			Workers: c.Workers,
 		})
 		if err != nil {
-			return Result{}, err
+			return 0, 0, err
 		}
 		stats, cost := e.RouteRequests(reqs)
-		rounds = append(rounds, cost)
-		maxQs = append(maxQs, stats.MaxQueue)
-		if stats.MaxModuleLoad > maxLoad {
-			maxLoad = stats.MaxModuleLoad
-		}
-		merges += stats.Merges
-		rehashes += e.Rehashes()
+		res.Merges += stats.Merges
+		res.Rehashes += e.Rehashes()
+		res.MaxModuleLoad = max(res.MaxModuleLoad, stats.MaxModuleLoad)
+		return cost, stats.MaxQueue, nil
 	}
-	res := Result{
-		Family:        c.Topo.Family,
-		Topology:      net.Name(),
-		Nodes:         net.Nodes(),
-		Diameter:      net.Diameter(),
-		View:          view,
-		Mode:          c.Mode,
-		Merges:        merges,
-		Rehashes:      rehashes,
-		MaxModuleLoad: maxLoad,
-	}
-	if view == "mesh(§3.3)" {
-		res.Algorithm = algName(c.Algorithm)
-		res.Discipline = discName(c.Discipline)
-	} else {
-		// Only the generic adapters honor the ablation; the §3.3 mesh
-		// scheme has no phase-1 switch, so the flag must not be
-		// recorded as applied there.
-		res.SkipPhase1 = c.SkipPhase1
-	}
-	res = memStats(res, ms, arena)
-	return finish(res, c, rounds, maxQs, time.Since(start)), nil
 }
 
-// runMeshCell routes on the paper's specialized three-stage router.
-// p arrives pre-defaulted and validated by RunCell.
-func runMeshCell(ctx context.Context, b topology.Built, g *mesh.Grid, gen workload.Generator, p workload.Params, c Cell) (Result, error) {
-	alg, err := meshAlgorithm(c.Algorithm)
-	if err != nil {
-		return Result{}, err
-	}
-	disc, err := meshDiscipline(c.Discipline)
-	if err != nil {
-		return Result{}, err
-	}
-	var ms engine.MemStats
-	lk := leaseKey(c)
-	lease := leases.Get(lk)
-	defer leases.Put(lk, lease)
-	opts := mesh.Options{
-		Context:    ctx,
-		Algorithm:  alg,
-		Discipline: disc,
-		Workers:    c.Workers,
-		HashedKeys: c.Hashed,
-		PagedKeys:  c.Paged,
-		MemBudget:  c.MemBudget,
-		MemStats:   &ms,
-		Lease:      lease,
-	}
-	if gen.Class == workload.ClassLocal {
-		opts.LocalityBound = p.D
-		opts.SliceRows = max(1, p.D/4)
-	}
-	rounds := make([]int, 0, c.Trials)
-	maxQs := make([]int, 0, c.Trials)
-	arena := packet.GetArena()
-	defer packet.PutArena(arena)
-	start := time.Now()
-	for trial := 0; trial < c.Trials; trial++ {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		s := c.Seed + uint64(trial)
-		arena.Reset()
-		pkts, err := gen.Generate(b, p, arena, s)
-		if err != nil {
-			return Result{}, err
-		}
-		opts.Seed = s * 31
-		st := mesh.Route(g, pkts, opts)
-		rounds = append(rounds, st.Rounds)
-		maxQs = append(maxQs, st.MaxQueue)
-	}
-	res := Result{
-		Family:     c.Topo.Family,
-		Topology:   g.Name(),
-		Nodes:      g.Nodes(),
-		Diameter:   g.Diameter(),
-		Algorithm:  algName(c.Algorithm),
-		Discipline: discName(c.Discipline),
-		View:       "mesh(§3.4)",
-	}
-	res = memStats(res, ms, arena)
-	return finish(res, c, rounds, maxQs, time.Since(start)), nil
-}
-
-// runGenericCell routes on the generic simulators: Algorithm 2.1 on
-// the leveled unrolling when the cell (or a leveled-only family)
-// selects it, Algorithm 2.2 on the graph otherwise. p arrives
-// pre-defaulted and validated by RunCell.
-func runGenericCell(ctx context.Context, b topology.Built, gen workload.Generator, p workload.Params, c Cell) (Result, error) {
-	useSpec := b.Graph == nil || (c.Topo.Leveled && b.Spec != nil)
-	combine := gen.Needs&workload.NeedsCombining != 0
-	var evOpts *engine.EventOptions
-	if c.Engine == EngineEvent {
-		var err error
-		if evOpts, err = eventOptions(c.Latency, c.Fault); err != nil {
-			return Result{}, err
-		}
-	}
-	rounds := make([]int, 0, c.Trials)
-	maxQs := make([]int, 0, c.Trials)
-	retransmits := 0
-	var ms engine.MemStats
-	var lease *engine.Lease
-	if c.Engine == "" {
-		// Event cells keep their own link map; only round cells carry
-		// engine tables worth recycling.
-		lk := leaseKey(c)
-		lease = leases.Get(lk)
-		defer leases.Put(lk, lease)
-	}
-	arena := packet.GetArena()
-	defer packet.PutArena(arena)
-	start := time.Now()
-	for trial := 0; trial < c.Trials; trial++ {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		s := c.Seed + uint64(trial)
-		arena.Reset()
-		pkts, err := gen.Generate(b, p, arena, s)
-		if err != nil {
-			return Result{}, err
-		}
-		var r, q int
-		if useSpec {
-			st := leveled.Route(b.Spec, pkts, leveled.Options{
-				Context: ctx,
-				Seed:    s * 31, SkipPhase1: c.SkipPhase1, Workers: c.Workers,
-				HashedKeys: c.Hashed, PagedKeys: c.Paged, MemBudget: c.MemBudget,
-				MemStats: &ms, Lease: lease, Combine: combine, Event: evOpts,
-			})
-			r, q = st.Rounds, st.MaxQueue
-			retransmits += st.Retransmits
-		} else {
-			st, err := simnet.Route(b.Graph, pkts, simnet.Options{
-				Context: ctx,
-				Seed:    s * 31, SkipPhase1: c.SkipPhase1, Workers: c.Workers,
-				HashedKeys: c.Hashed, PagedKeys: c.Paged, MemBudget: c.MemBudget,
-				MemStats: &ms, Lease: lease, Combine: combine, Event: evOpts,
-			})
-			if err != nil {
-				return Result{}, err
-			}
-			r, q = st.Rounds, st.MaxQueue
-			retransmits += st.Retransmits
-		}
-		rounds = append(rounds, r)
-		maxQs = append(maxQs, q)
-	}
-	name, view := b.Name(), "direct(2.2)"
-	if useSpec {
-		name, view = b.Spec.Name(), "leveled(2.1)"
-	}
-	res := Result{
-		Family:     c.Topo.Family,
-		Topology:   name,
-		Nodes:      b.Nodes(),
-		Diameter:   b.Diameter(),
-		View:       view,
-		SkipPhase1: c.SkipPhase1,
-	}
-	if c.Engine == EngineEvent {
-		res.Engine = EngineEvent
-		res.Fault = c.Fault.Label()
-		res.Retransmits = retransmits
-	} else {
-		res = memStats(res, ms, arena)
-	}
-	return finish(res, c, rounds, maxQs, time.Since(start)), nil
-}
-
-// finish fills the cell metadata and derived metrics shared by both
-// routers. maxQs holds the per-trial max queue lengths in trial order,
+// finish fills the cell metadata and derived metrics shared by every
+// router. maxQs holds the per-trial max queue lengths in trial order,
 // collapsed into MaxQueue here and kept raw (with the per-trial round
 // counts) on Distribution cells.
 func finish(res Result, c Cell, rounds, maxQs []int, elapsed time.Duration) Result {
@@ -632,16 +518,7 @@ func discName(name string) string {
 // draining (unless Spec.FailFast), and the failures come back in
 // aggregate as an *AggregateError alongside the full result set.
 func Run(spec Spec) ([]Result, error) {
-	return RunContext(context.Background(), spec)
-}
-
-// RunContext is Run under a context: cancellation stops queued cells,
-// aborts running ones within a round, and returns the completed
-// results with ctx.Err(). Cells a sweep-level cancellation cut short
-// produce no lines (they carry no verdict — a resumed sweep runs them
-// again), unlike per-cell timeouts, which do.
-func RunContext(ctx context.Context, spec Spec) ([]Result, error) {
-	return RunContextOptions(ctx, spec, RunOptions{})
+	return RunContextOptions(context.Background(), spec, RunOptions{})
 }
 
 // RunOptions tunes Run beyond the spec itself.
@@ -655,8 +532,12 @@ type RunOptions struct {
 	Cache *buildcache.Cache
 }
 
-// RunContextOptions is RunContext with explicit options; see
-// RunOptions for the knobs.
+// RunContextOptions is Run under a context, with explicit options (see
+// RunOptions for the knobs): cancellation stops queued cells, aborts
+// running ones within a round, and returns the completed results with
+// ctx.Err(). Cells a sweep-level cancellation cut short produce no
+// lines (they carry no verdict — a resumed sweep runs them again),
+// unlike per-cell timeouts, which do.
 func RunContextOptions(ctx context.Context, spec Spec, opts RunOptions) ([]Result, error) {
 	spec = spec.withDefaults()
 	cells, release, err := spec.cells(opts.Cache)
@@ -671,11 +552,11 @@ func RunContextOptions(ctx context.Context, spec Spec, opts RunOptions) ([]Resul
 }
 
 // runCells executes the expanded grid over the spec's pool — the core
-// Run, RunContext and RunJournaled share. Cells whose base key
+// Run, RunContextOptions and RunJournaled share. Cells whose base key
 // appears in skip return the cached Result without running (journal
 // resume and retry passes); onDone, when non-nil, observes each
 // freshly computed, non-dropped result serially (the journal's
-// append hook). See RunContext for the cancellation contract.
+// append hook). See RunContextOptions for the cancellation contract.
 func runCells(ctx context.Context, spec Spec, cells []Cell, skip map[string]Result, onDone func(Result)) ([]Result, error) {
 	pool := spec.Pool
 	if pool <= 0 {

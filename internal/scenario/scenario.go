@@ -357,6 +357,40 @@ func ModeCheck(mode string, class workload.Class) error {
 	}
 }
 
+// lookupWork resolves a workload reference, rejecting unknown names
+// and fractions outside [0,1] — the workload checks RunCellContext and
+// Spec.cells share.
+func lookupWork(w WorkRef) (workload.Generator, error) {
+	gen, ok := workload.Lookup(w.Name)
+	if !ok {
+		return gen, fmt.Errorf("unknown workload %q (known: %v)", w.Name, workload.Names())
+	}
+	if w.Fraction < 0 || w.Fraction > 1 {
+		return gen, fmt.Errorf("workload %s: fraction %v out of [0,1]", w.Name, w.Fraction)
+	}
+	return gen, nil
+}
+
+// checkTopo rejects a leveled reference to a network without an
+// unrolling and a network past the simulator's node-id limit.
+func checkTopo(b topology.Built, tr TopoRef) error {
+	if tr.Leveled && b.Spec == nil {
+		return fmt.Errorf("%s has no leveled unrolling", b.Name())
+	}
+	if b.Nodes() > topology.MaxNodes {
+		return fmt.Errorf("%s has %d nodes, exceeding the simulator's node-id limit (%d)", b.Name(), b.Nodes(), topology.MaxNodes)
+	}
+	return nil
+}
+
+// checkMode is ModeCheck with the workload named in the error.
+func checkMode(mode string, gen workload.Generator) error {
+	if err := ModeCheck(mode, gen.Class); err != nil {
+		return fmt.Errorf("workload %s: %w", gen.Name, err)
+	}
+	return nil
+}
+
 // buildTopo resolves one topology reference: through the build cache
 // when one is supplied (the returned Ref pins the entry until
 // released; nil when the cache is disabled), by a direct registry
@@ -463,19 +497,13 @@ func (s Spec) cells(cache *buildcache.Cache) (cells []Cell, release func(), err 
 		if ref != nil {
 			refs = append(refs, ref)
 		}
-		if tr.Leveled && b.Spec == nil {
-			return nil, nil, &SpecError{Field: "topologies", Err: fmt.Errorf("%s has no leveled unrolling", b.Name())}
-		}
-		if b.Nodes() > topology.MaxNodes {
-			return nil, nil, &SpecError{Field: "topologies", Err: fmt.Errorf("%s has %d nodes, exceeding the simulator's node-id limit (%d)", b.Name(), b.Nodes(), topology.MaxNodes)}
+		if err := checkTopo(b, tr); err != nil {
+			return nil, nil, &SpecError{Field: "topologies", Err: err}
 		}
 		for _, wr := range s.Workloads {
-			gen, ok := workload.Lookup(wr.Name)
-			if !ok {
-				return nil, nil, &SpecError{Field: "workloads", Err: fmt.Errorf("unknown workload %q (known: %v)", wr.Name, workload.Names())}
-			}
-			if f := wr.Fraction; f < 0 || f > 1 {
-				return nil, nil, &SpecError{Field: "workloads", Err: fmt.Errorf("workload %s: fraction %v out of [0,1]", wr.Name, f)}
+			gen, err := lookupWork(wr)
+			if err != nil {
+				return nil, nil, &SpecError{Field: "workloads", Err: err}
 			}
 			if err := gen.Check(b); err != nil {
 				if s.SkipIncompatible {
@@ -487,11 +515,11 @@ func (s Spec) cells(cache *buildcache.Cache) (cells []Cell, release func(), err 
 				if mode == ModeRoute {
 					mode = ""
 				}
-				if err := ModeCheck(mode, gen.Class); err != nil {
+				if err := checkMode(mode, gen); err != nil {
 					if s.SkipIncompatible {
 						continue
 					}
-					return nil, nil, &SpecError{Field: "modes", Err: fmt.Errorf("workload %s: %w", wr.Name, err)}
+					return nil, nil, &SpecError{Field: "modes", Err: err}
 				}
 				// The engine axis collapses on emulation-mode cells:
 				// erew/crcw price the synchronous PRAM step model.
