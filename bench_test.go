@@ -292,7 +292,7 @@ func BenchmarkE9MeshLocality(b *testing.B) {
 				s := mesh.Route(g, pkts, mesh.Options{
 					Seed:          uint64(i) * 3,
 					LocalityBound: d,
-					SliceRows:     maxi(1, d/4),
+					SliceRows:     max(1, d/4),
 				})
 				rounds += s.Rounds
 			}
@@ -362,13 +362,6 @@ func BenchmarkE12SortVsRoute(b *testing.B) {
 	}
 }
 
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // speedupCase is one large-n configuration of the E13 harness: route
 // runs once with Workers=1 and once with Workers=GOMAXPROCS on
 // identical workloads (the engine guarantees identical results), and
@@ -432,7 +425,8 @@ func BenchmarkE13ParallelEngine(b *testing.B) {
 
 // BenchmarkE15EngineHotPath — the flat-state round engine PR: the
 // same large-n configurations priced on the dense slice-table path
-// and on the hashed-map fallback (the pre-PR layout), with Workers: 1
+// and on the hashed-map fallback (forced by a one-byte MemBudget, as
+// an over-budget run degrades), with Workers: 1
 // so the metrics isolate the data plane. ns/round, B/round and
 // allocs/round are per simulated round across all trials; packets
 // come from one slab arena recycled per trial. The residual B/round
@@ -450,21 +444,21 @@ func BenchmarkE15EngineHotPath(b *testing.B) {
 			g := star.New(7) // 5040 nodes, 7-relation: 35280 packets
 			pkts := workload.RelationInto(a, g.Nodes(), 7, packet.Transit, seed)
 			return leveled.Route(g.AsLeveled(), pkts, leveled.Options{
-				Seed: seed * 31, Workers: 1, HashedKeys: hashed,
+				Seed: seed * 31, Workers: 1, MemBudget: hashedBudget(hashed),
 			}).Rounds
 		}},
 		{"shuffle5-perm", func(a *packet.Arena, seed uint64, hashed bool) int {
 			g := shuffle.NewNWay(5) // 3125 nodes, 6-column unrolling
 			pkts := workload.PermutationInto(a, g.Nodes(), packet.Transit, seed)
 			return leveled.Route(g.AsLeveled(), pkts, leveled.Options{
-				Seed: seed * 31, Workers: 1, HashedKeys: hashed,
+				Seed: seed * 31, Workers: 1, MemBudget: hashedBudget(hashed),
 			}).Rounds
 		}},
 		{"mesh128-perm", func(a *packet.Arena, seed uint64, hashed bool) int {
 			g := mesh.New(128) // 16384 nodes, furthest-first heaps
 			pkts := workload.PermutationInto(a, g.Nodes(), packet.Transit, seed)
 			return mesh.Route(g, pkts, mesh.Options{
-				Seed: seed * 31, Workers: 1, HashedKeys: hashed,
+				Seed: seed * 31, Workers: 1, MemBudget: hashedBudget(hashed),
 			}).Rounds
 		}},
 	}

@@ -19,12 +19,13 @@
 // beyond 2^24 get automatically — million-node graphs route in one
 // invocation), -membudget caps the fixed table footprint in bytes
 // (over-budget layouts degrade to the hashed fallback instead of
-// erroring), and -memstats prints the resolved state and
-// table/arena/B-per-node footprint after the report line (-json
-// always carries the same fields). With -sweep it instead executes a
-// declarative scenario spec — the cross-product of topology ×
-// workload × discipline × emulation-mode × engine × fault × ablation
-// × engine-workers axes — in parallel over a worker pool, emitting
+// erroring, so -membudget 1 forces it), and -memstats prints the
+// resolved state and table/arena/B-per-node footprint after the
+// report line (-json always carries the same fields). With -sweep it
+// instead executes a declarative scenario spec — the cross-product
+// of topology × workload × discipline × emulation-mode × engine ×
+// fault × ablation × engine-workers axes — in parallel over a worker
+// pool, emitting
 // one JSON line per cell in deterministic scenario-key order (the
 // same Result schema as -json, minus the wall-clock fields, so sweep
 // artifacts diff cleanly); -report appends the derived speedup and
@@ -131,7 +132,6 @@ type config struct {
 	jsonOut    bool
 	workers    int
 	list       bool
-	hashed     bool
 	paged      bool
 	memBudget  int64
 	memStats   bool
@@ -185,9 +185,8 @@ func main() {
 	flag.BoolVar(&cfg.jsonOut, "json", false, "emit one JSON object instead of the report line (for BENCH_*.json artifacts)")
 	flag.IntVar(&cfg.workers, "workers", 0, "round-engine workers (0 = GOMAXPROCS, 1 = sequential; identical results either way)")
 	flag.BoolVar(&cfg.list, "list", false, "list the registered network families and workload generators, then exit")
-	flag.BoolVar(&cfg.hashed, "hashed", false, "force the engine's hashed-map link state instead of the dense tables (identical results; for A/B profiling)")
 	flag.BoolVar(&cfg.paged, "paged", false, "force the engine's paged dense tables even on small key spaces (identical results; for A/B profiling)")
-	flag.Int64Var(&cfg.memBudget, "membudget", 0, "cap the engine's fixed link-table footprint in bytes; over-budget dense/paged runs degrade to the hashed fallback (0 = no budget)")
+	flag.Int64Var(&cfg.memBudget, "membudget", 0, "cap the engine's fixed link-table footprint in bytes; over-budget dense/paged runs degrade to the hashed fallback (0 = no budget; 1 forces the fallback, identical results, for A/B profiling)")
 	flag.BoolVar(&cfg.memStats, "memstats", false, "append the memory line (resolved state, table/arena bytes, B/node) to the report")
 	flag.StringVar(&cfg.sweep, "sweep", "", "run the scenario sweep spec from this JSON file ('-' = stdin) and emit JSONL")
 	flag.BoolVar(&cfg.report, "report", false, "with -sweep: append the derived report rows (workers-axis speedups, per-class aggregates) after the result lines")
@@ -297,7 +296,6 @@ func cell(cfg config) scenario.Cell {
 		Trials:     cfg.trials,
 		Seed:       cfg.seed,
 		SkipPhase1: cfg.skipPhase1,
-		Hashed:     cfg.hashed,
 		Paged:      cfg.paged,
 		MemBudget:  cfg.memBudget,
 		Timing:     true,
@@ -722,11 +720,4 @@ func writeHeapProfile(path string) error {
 		return fmt.Errorf("memprofile: %w", err)
 	}
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -345,7 +345,7 @@ func TestRunEmulationMode(t *testing.T) {
 
 // TestRunSweepEmulSpec runs the checked-in sweeps/emul.json (the CI
 // perf-smoke artifact): deterministic output, every line parseable,
-// erew and crcw cells present, hashed twins identical.
+// erew and crcw cells present.
 func TestRunSweepEmulSpec(t *testing.T) {
 	out := func() string {
 		var b strings.Builder
@@ -670,23 +670,23 @@ func TestRunWritesProfiles(t *testing.T) {
 	}
 }
 
-// TestRunHashedMatchesDense pins the -hashed and -paged A/B knobs:
-// all three link-state paths must report identical rounds on a fixed
-// seed.
+// TestRunHashedMatchesDense pins the link-state A/B knobs: -paged and
+// a one-byte -membudget (which degrades to the hashed fallback) must
+// report the same rounds as the dense default on a fixed seed.
 func TestRunHashedMatchesDense(t *testing.T) {
-	out := func(hashed, paged bool) string {
+	out := func(memBudget int64, paged bool) string {
 		var b strings.Builder
-		cfg := config{net: "star", n: 4, workload: "perm", trials: 2, seed: 7, hashed: hashed, paged: paged}
+		cfg := config{net: "star", n: 4, workload: "perm", trials: 2, seed: 7, memBudget: memBudget, paged: paged}
 		if err := run(&b, cfg); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
 	}
-	dense := out(false, false)
-	if hashed := out(true, false); dense != hashed {
+	dense := out(0, false)
+	if hashed := out(1, false); dense != hashed {
 		t.Fatalf("dense and hashed reports differ:\n%s%s", dense, hashed)
 	}
-	if paged := out(false, true); dense != paged {
+	if paged := out(0, true); dense != paged {
 		t.Fatalf("dense and paged reports differ:\n%s%s", dense, paged)
 	}
 }

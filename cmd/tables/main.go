@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"pramemu/internal/experiments"
-	"pramemu/internal/metrics"
 	"pramemu/internal/scenario"
 	_ "pramemu/internal/topology/families"
 )
@@ -75,31 +74,6 @@ func runSweepReport(w io.Writer, path string) error {
 // run renders the selected experiment tables to w. It is the testable
 // core of the command.
 func run(w io.Writer, o experiments.Options, only string) error {
-	type exp struct {
-		id  string
-		run func(experiments.Options) *metrics.Table
-	}
-	all := []exp{
-		{"E1", experiments.E1LeveledPermutation},
-		{"E2", experiments.E2StarRouting},
-		{"E3", experiments.E3ShuffleRouting},
-		{"E4", experiments.E4HashLoad},
-		{"E5", experiments.E5PRAMStepLeveled},
-		{"E6", experiments.E6StarVsHypercube},
-		{"E7", experiments.E7MeshRouting},
-		{"E8", experiments.E8MeshEmulation},
-		{"E9", experiments.E9MeshLocality},
-		{"E10", experiments.E10QueueSizes},
-		{"E11", experiments.E11Rehash},
-		{"E12", experiments.E12SortVsRoute},
-		{"E14", experiments.E14CrossFamily},
-		{"E16", experiments.E16ScenarioMatrix},
-		{"E17", experiments.E17EmulationMatrix},
-		{"E18", experiments.E18AsynchronyMatrix},
-		{"E19", experiments.E19ScaleCeiling},
-		{"E20", experiments.E20BuildCache},
-		{"E21", experiments.E21AdversarialBounds},
-	}
 	want := map[string]bool{}
 	if only != "" {
 		for _, id := range strings.Split(only, ",") {
@@ -107,11 +81,11 @@ func run(w io.Writer, o experiments.Options, only string) error {
 		}
 	}
 	ran := 0
-	for _, e := range all {
-		if len(want) > 0 && !want[e.id] {
+	for _, e := range experiments.Index {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		e.run(o).Fprint(w)
+		e.Run(o).Fprint(w)
 		fmt.Fprintln(w)
 		ran++
 	}

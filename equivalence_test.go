@@ -212,6 +212,17 @@ func TestWorkerEquivalence(t *testing.T) {
 	}
 }
 
+// hashedBudget is the storage-path selector of the dense/hashed
+// cases: a one-byte MemBudget degrades any dense or paged table to the
+// engine's hashed fallback, exactly as an over-budget production run
+// does; zero leaves the dense default.
+func hashedBudget(hashed bool) int64 {
+	if hashed {
+		return 1
+	}
+	return 0
+}
+
 // denseCase routes one reply-free workload — the configuration on
 // which the simulators declare their dense link-key space — with an
 // explicit storage-path selector.
@@ -226,7 +237,7 @@ func denseHashedCases() []denseCase {
 			g := star.New(5)
 			pkts := workload.Permutation(g.Nodes(), packet.Transit, seed)
 			st := mustSimRoute(g, pkts, simnet.Options{
-				Seed: seed * 31, Workers: workers, HashedKeys: hashed,
+				Seed: seed * 31, Workers: workers, MemBudget: hashedBudget(hashed),
 			})
 			return st, tracesOf(pkts)
 		}},
@@ -234,7 +245,7 @@ func denseHashedCases() []denseCase {
 			g := shuffle.NewNWay(3) // taken-sensitive NextHop under slot keys
 			pkts := workload.Permutation(g.Nodes(), packet.Transit, seed)
 			st := mustSimRoute(g, pkts, simnet.Options{
-				Seed: seed * 31, Workers: workers, HashedKeys: hashed,
+				Seed: seed * 31, Workers: workers, MemBudget: hashedBudget(hashed),
 			})
 			return st, tracesOf(pkts)
 		}},
@@ -242,7 +253,7 @@ func denseHashedCases() []denseCase {
 			spec := leveled.NewButterfly(7)
 			pkts := workload.Permutation(spec.Width(), packet.Transit, seed)
 			st := leveled.Route(spec, pkts, leveled.Options{
-				Seed: seed * 31, Workers: workers, HashedKeys: hashed,
+				Seed: seed * 31, Workers: workers, MemBudget: hashedBudget(hashed),
 			})
 			return st, tracesOf(pkts)
 		}},
@@ -252,7 +263,7 @@ func denseHashedCases() []denseCase {
 			g := star.New(5)
 			pkts := readHotSpots(g.Nodes(), seed)
 			st := leveled.Route(g.AsLeveled(), pkts, leveled.Options{
-				Seed: seed * 31, Combine: true, Workers: workers, HashedKeys: hashed,
+				Seed: seed * 31, Combine: true, Workers: workers, MemBudget: hashedBudget(hashed),
 			})
 			return st, tracesOf(pkts)
 		}},
@@ -260,18 +271,17 @@ func denseHashedCases() []denseCase {
 			g := mesh.New(16)
 			pkts := workload.Permutation(g.Nodes(), packet.Transit, seed)
 			st := mesh.Route(g, pkts, mesh.Options{
-				Seed: seed * 31, Workers: workers, HashedKeys: hashed,
+				Seed: seed * 31, Workers: workers, MemBudget: hashedBudget(hashed),
 			})
 			return st, tracesOf(pkts)
 		}},
-		{"ranade6-replylinks", func(seed uint64, workers int, hashed bool) (any, []ptrace) {
-			// The knob selects the reply pass's dense reverse-link
-			// table vs its hashed map (the forward pass has no engine
-			// link state).
+		{"ranade6-replylinks", func(seed uint64, workers int, _ bool) (any, []ptrace) {
+			// Ranade has no engine link state: its reply pass keeps
+			// its own reverse-link table, so only the workers vary.
 			n := ranade.New(6)
 			pkts := readHotSpots(n.Nodes(), seed)
 			st := n.RouteOpts(pkts, ranade.Options{
-				Combine: true, Seed: seed, Workers: workers, HashedKeys: hashed,
+				Combine: true, Seed: seed, Workers: workers,
 			})
 			return st, tracesOf(pkts)
 		}},
@@ -329,7 +339,7 @@ func pagedCases() []pagedCase {
 			g := star.New(5)
 			pkts := workload.Permutation(g.Nodes(), packet.Transit, seed)
 			st := mustSimRoute(g, pkts, simnet.Options{
-				Seed: seed * 31, Workers: workers, PagedKeys: paged, HashedKeys: hashed,
+				Seed: seed * 31, Workers: workers, PagedKeys: paged, MemBudget: hashedBudget(hashed),
 			})
 			return st, tracesOf(pkts)
 		}},
@@ -337,7 +347,7 @@ func pagedCases() []pagedCase {
 			spec := leveled.NewButterfly(7)
 			pkts := workload.Permutation(spec.Width(), packet.Transit, seed)
 			st := leveled.Route(spec, pkts, leveled.Options{
-				Seed: seed * 31, Workers: workers, PagedKeys: paged, HashedKeys: hashed,
+				Seed: seed * 31, Workers: workers, PagedKeys: paged, MemBudget: hashedBudget(hashed),
 			})
 			return st, tracesOf(pkts)
 		}},
@@ -345,7 +355,7 @@ func pagedCases() []pagedCase {
 			g := mesh.New(16)
 			pkts := workload.Permutation(g.Nodes(), packet.Transit, seed)
 			st := mesh.Route(g, pkts, mesh.Options{
-				Seed: seed * 31, Workers: workers, PagedKeys: paged, HashedKeys: hashed,
+				Seed: seed * 31, Workers: workers, PagedKeys: paged, MemBudget: hashedBudget(hashed),
 			})
 			return st, tracesOf(pkts)
 		}},

@@ -30,7 +30,7 @@ func run(w io.Writer, n int, ds []int) {
 		opts := mesh.Options{
 			Seed:          uint64(d) * 7,
 			LocalityBound: d,
-			SliceRows:     maxi(1, d/4),
+			SliceRows:     max(1, d/4),
 		}
 		// Request phase: every node reads from a module within
 		// distance d.
@@ -53,11 +53,4 @@ func run(w io.Writer, n int, ds []int) {
 	global := mesh.Route(g, pkts, mesh.Options{Seed: 11})
 	fmt.Fprintf(w, "\nnon-local permutation for comparison: %d rounds (%.2f x n)\n",
 		global.Rounds, float64(global.Rounds)/float64(n))
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -37,10 +37,6 @@ type TopologyNetwork struct {
 	// routed step (the scenario layer's ablation axis): requests go
 	// straight along their deterministic paths.
 	SkipPhase1 bool
-	// HashedKeys forces the round engine's hashed-map link state
-	// instead of the dense tables on every routed step (identical
-	// results; the A/B knob of the flat-state engine PR).
-	HashedKeys bool
 	// PagedKeys forces the engine's paged dense tables even on key
 	// spaces small enough for flat tables (identical results; the
 	// paged A/B knob).
@@ -120,7 +116,6 @@ func (n *TopologyNetwork) Route(pkts []*packet.Packet, combine bool, seed uint64
 			Combine:    combine,
 			Workers:    workers,
 			SkipPhase1: n.SkipPhase1,
-			HashedKeys: n.HashedKeys,
 			PagedKeys:  n.PagedKeys,
 			MemBudget:  n.MemBudget,
 			MemStats:   n.MemStats,
@@ -142,7 +137,6 @@ func (n *TopologyNetwork) Route(pkts []*packet.Packet, combine bool, seed uint64
 		Combine:    combine,
 		Workers:    workers,
 		SkipPhase1: n.SkipPhase1,
-		HashedKeys: n.HashedKeys,
 		PagedKeys:  n.PagedKeys,
 		MemBudget:  n.MemBudget,
 		MemStats:   n.MemStats,

@@ -528,7 +528,7 @@ func E9MeshLocality(o Options) *metrics.Table {
 			if err != nil {
 				panic(fmt.Sprintf("experiments: %v", err))
 			}
-			opts := mesh.Options{Seed: seed * 3, LocalityBound: d, SliceRows: maxInt(1, d/4)}
+			opts := mesh.Options{Seed: seed * 3, LocalityBound: d, SliceRows: max(1, d/4)}
 			s := mesh.Route(g, pkts, opts)
 			phase = append(phase, s.Rounds)
 			// Emulated step: request leg + reply leg.
@@ -548,13 +548,6 @@ func E9MeshLocality(o Options) *metrics.Table {
 			fmt.Sprintf("%d", 6*d))
 	}
 	return t
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // E10QueueSizes ablates the queueing discipline (§3.4): furthest-
@@ -1115,27 +1108,33 @@ func maxDegree(g topology.Graph) int {
 	return max
 }
 
-// All runs every experiment and returns the tables in order.
-func All(o Options) []*metrics.Table {
-	return []*metrics.Table{
-		E1LeveledPermutation(o),
-		E2StarRouting(o),
-		E3ShuffleRouting(o),
-		E4HashLoad(o),
-		E5PRAMStepLeveled(o),
-		E6StarVsHypercube(o),
-		E7MeshRouting(o),
-		E8MeshEmulation(o),
-		E9MeshLocality(o),
-		E10QueueSizes(o),
-		E11Rehash(o),
-		E12SortVsRoute(o),
-		E14CrossFamily(o),
-		E16ScenarioMatrix(o),
-		E17EmulationMatrix(o),
-		E18AsynchronyMatrix(o),
-		E19ScaleCeiling(o),
-		E20BuildCache(o),
-		E21AdversarialBounds(o),
-	}
+// Experiment is one entry of the experiment index: its DESIGN.md id
+// and the function that regenerates its table.
+type Experiment struct {
+	ID  string
+	Run func(Options) *metrics.Table
+}
+
+// Index lists every table-producing experiment in order. E13 and E15
+// are Go benchmarks (bench_test.go), not tables, so they are absent.
+var Index = []Experiment{
+	{"E1", E1LeveledPermutation},
+	{"E2", E2StarRouting},
+	{"E3", E3ShuffleRouting},
+	{"E4", E4HashLoad},
+	{"E5", E5PRAMStepLeveled},
+	{"E6", E6StarVsHypercube},
+	{"E7", E7MeshRouting},
+	{"E8", E8MeshEmulation},
+	{"E9", E9MeshLocality},
+	{"E10", E10QueueSizes},
+	{"E11", E11Rehash},
+	{"E12", E12SortVsRoute},
+	{"E14", E14CrossFamily},
+	{"E16", E16ScenarioMatrix},
+	{"E17", E17EmulationMatrix},
+	{"E18", E18AsynchronyMatrix},
+	{"E19", E19ScaleCeiling},
+	{"E20", E20BuildCache},
+	{"E21", E21AdversarialBounds},
 }

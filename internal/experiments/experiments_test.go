@@ -12,16 +12,16 @@ func TestAllExperimentsProduceRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep in -short mode")
 	}
-	tables := All(quick())
-	if len(tables) != 19 {
-		t.Fatalf("expected 19 experiment tables, got %d", len(tables))
+	if len(Index) != 19 {
+		t.Fatalf("expected 19 experiments, got %d", len(Index))
 	}
-	for i, tb := range tables {
+	for _, e := range Index {
+		tb := e.Run(quick())
 		if tb.Rows() == 0 {
-			t.Fatalf("experiment %d produced no rows:\n%s", i+1, tb)
+			t.Fatalf("experiment %s produced no rows:\n%s", e.ID, tb)
 		}
-		if !strings.Contains(tb.String(), "E") {
-			t.Fatalf("experiment %d lacks a title", i+1)
+		if !strings.Contains(tb.String(), e.ID) {
+			t.Fatalf("experiment %s lacks its id in the title", e.ID)
 		}
 	}
 }

@@ -39,12 +39,6 @@ type Options struct {
 	// Workers is the round-engine worker count: 0 selects GOMAXPROCS,
 	// 1 the sequential loop. Any value yields identical results.
 	Workers int
-	// HashedKeys forces the engine's hashed-map link state instead of
-	// the dense-table fast path (reply-free runs declare the dense
-	// forward key space (column, node, slot) to the engine). Results
-	// are bit-identical either way; the knob exists for benchmarking
-	// the fallback and for path-coverage tests.
-	HashedKeys bool
 	// PagedKeys forces the engine's paged dense tables even when the
 	// declared key space fits flat ones (the engine pages
 	// automatically beyond 2^24 keys). Results are bit-identical
@@ -184,7 +178,7 @@ func Route(spec Spec, pkts []*packet.Packet, opts Options) Stats {
 	// engine swaps its hash maps for slice-indexed tables; replies
 	// live under reverseBit, outside any declarable range.
 	var maxKey uint64
-	if !opts.Replies && !opts.HashedKeys {
+	if !opts.Replies {
 		maxKey = uint64(r.logical-1) * r.width * r.degree
 	}
 	engOpts := engine.Options{

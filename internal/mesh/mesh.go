@@ -126,12 +126,6 @@ type Options struct {
 	// Workers is the round-engine worker count: 0 selects GOMAXPROCS,
 	// 1 the sequential loop. Any value yields identical results.
 	Workers int
-	// HashedKeys forces the engine's hashed-map link state instead of
-	// the dense-table fast path (mesh link keys node*4 + direction are
-	// dense by construction). Results are bit-identical either way;
-	// the knob exists for benchmarking the fallback and for
-	// path-coverage tests.
-	HashedKeys bool
 	// PagedKeys forces the engine's paged dense tables even when the
 	// declared key space fits flat ones (the engine pages
 	// automatically beyond 2^24 keys). Results are bit-identical
@@ -193,16 +187,12 @@ func Route(g *Grid, pkts []*packet.Packet, opts Options) Stats {
 	if r.slice < 1 {
 		r.slice = 1
 	}
-	var maxKey uint64
-	if !opts.HashedKeys {
-		maxKey = uint64(g.Nodes()) * numDirs
-	}
 	eng := engine.New(engine.Options{
 		Context:    opts.Context,
 		Workers:    opts.Workers,
 		Seed:       opts.Seed,
 		NewQueue:   r.newQueue,
-		MaxKey:     maxKey,
+		MaxKey:     uint64(g.Nodes()) * numDirs,
 		MemBudget:  opts.MemBudget,
 		ForcePaged: opts.PagedKeys,
 		Lease:      opts.Lease,

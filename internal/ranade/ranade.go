@@ -42,10 +42,6 @@ type Options struct {
 	// exactly one writer), and reply-link insertions are committed in
 	// sorted (link, packet ID) order.
 	Workers int
-	// HashedKeys forces the reply pass's hashed link map instead of
-	// its dense reverse-link table. Results are bit-identical either
-	// way; the knob exists for path-coverage tests.
-	HashedKeys bool
 }
 
 // Stats summarizes one emulated step.
@@ -217,7 +213,7 @@ func (n *Network) RouteOpts(pkts []*packet.Packet, opts Options) Stats {
 	want := len(pkts)
 	round := 0
 	maxRounds := 40 * (k + 1) * (maxPerRow(sources) + 1)
-	replies := newReplyPass(n, &st, opts.HashedKeys)
+	replies := newReplyPass(n, &st)
 	// Rows within a level are independent — every directed butterfly
 	// link has exactly one writer per round — so the per-level node
 	// loop shards over the pool; per-worker effects merge after the

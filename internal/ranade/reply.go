@@ -19,9 +19,8 @@ import (
 // active-key list (the same flat-state layout as the round engine's
 // dense path) — flat up to denseReplyLimit keys, fixed-size pages
 // allocated on first touch beyond it, so even the largest instances
-// pay only for touched reverse links; a hash map remains as the
-// forced-hashed ablation. The key order equals the old packed
-// (from, to) order, so round counts are unchanged.
+// pay only for touched reverse links. The key order equals the old
+// packed (from, to) order, so round counts are unchanged.
 //
 // Insertions are staged per round and committed in sorted (link,
 // packet ID) order — the engine's radix sort over its canonical
@@ -32,13 +31,11 @@ type replyPass struct {
 	st *Stats
 	// table is the flat dense reverse-link state; pages is the paged
 	// variant serving key spaces beyond the flat cap (fixed-size
-	// pages of slice headers, allocated on first touch); nil both
-	// selects links.
+	// pages of slice headers, allocated on first touch). Exactly one
+	// is non-nil.
 	table  [][]*packet.Packet
 	pages  []*[replyPageSize][]*packet.Packet
 	active []uint64
-	// links is the hashed fallback, keyed identically.
-	links map[uint64][]*packet.Packet
 	// staged holds this round's insertions until commit; spare is the
 	// radix sort's reused scratch buffer.
 	staged   []engine.Arrival
@@ -61,23 +58,15 @@ const (
 	replyPageMask = replyPageSize - 1
 )
 
-func newReplyPass(n *Network, st *Stats, hashed bool) *replyPass {
+func newReplyPass(n *Network, st *Stats) *replyPass {
 	rp := &replyPass{n: n, st: st}
-	keys := 2 * (n.k + 1) * n.rows
-	switch {
-	case hashed:
-		rp.links = make(map[uint64][]*packet.Packet)
-	case keys <= denseReplyLimit:
+	if keys := 2 * (n.k + 1) * n.rows; keys <= denseReplyLimit {
 		rp.table = make([][]*packet.Packet, keys)
-	default:
+	} else {
 		rp.pages = make([]*[replyPageSize][]*packet.Packet, (keys-1)>>replyPageBits+1)
 	}
 	return rp
 }
-
-// dense reports whether the pass keeps an active-key list (flat or
-// paged tables) rather than the hashed map.
-func (rp *replyPass) dense() bool { return rp.table != nil || rp.pages != nil }
 
 // linkKey encodes the reverse link from flat node id `from` to flat
 // node id `to` one level up the return path. The two candidate target
@@ -136,7 +125,7 @@ func (rp *replyPass) commit() {
 	sorted, spare := engine.SortArrivals(rp.staged, rp.spare)
 	for _, s := range sorted {
 		q := rp.queueAt(s.Key)
-		if rp.dense() && len(q) == 0 {
+		if len(q) == 0 {
 			rp.active = append(rp.active, s.Key)
 		}
 		q = append(q, s.P)
@@ -154,13 +143,10 @@ func (rp *replyPass) queueAt(key uint64) []*packet.Packet {
 	if rp.table != nil {
 		return rp.table[key]
 	}
-	if rp.pages != nil {
-		if pg := rp.pages[key>>replyPageBits]; pg != nil {
-			return pg[key&replyPageMask]
-		}
-		return nil
+	if pg := rp.pages[key>>replyPageBits]; pg != nil {
+		return pg[key&replyPageMask]
 	}
-	return rp.links[key]
+	return nil
 }
 
 func (rp *replyPass) setQueue(key uint64, q []*packet.Packet) {
@@ -168,16 +154,12 @@ func (rp *replyPass) setQueue(key uint64, q []*packet.Packet) {
 		rp.table[key] = q
 		return
 	}
-	if rp.pages != nil {
-		pg := rp.pages[key>>replyPageBits]
-		if pg == nil {
-			pg = new([replyPageSize][]*packet.Packet)
-			rp.pages[key>>replyPageBits] = pg
-		}
-		pg[key&replyPageMask] = q
-		return
+	pg := rp.pages[key>>replyPageBits]
+	if pg == nil {
+		pg = new([replyPageSize][]*packet.Packet)
+		rp.pages[key>>replyPageBits] = pg
 	}
-	rp.links[key] = q
+	pg[key&replyPageMask] = q
 }
 
 func (rp *replyPass) pending() bool { return rp.inFlight > 0 }
@@ -187,40 +169,26 @@ func (rp *replyPass) pending() bool { return rp.inFlight > 0 }
 // fresh reply moves a hop in its spawn round, as before), then each
 // link head moves and re-stages for the next hop. Per-link effects
 // commute — advancing a head only appends to the staged buffer, which
-// commit applies in canonical order — so the iteration order over
-// live links is free to be a map walk or the active list.
+// commit applies in canonical order — so the active list's
+// swap-remove order does not matter.
 func (rp *replyPass) step(round int) {
 	rp.commit()
-	if rp.dense() {
-		for i := 0; i < len(rp.active); {
-			key := rp.active[i]
-			q := rp.queueAt(key)
-			p := q[0]
-			q[0] = nil
-			if len(q) == 1 {
-				rp.setQueue(key, q[:0])
-				last := len(rp.active) - 1
-				rp.active[i] = rp.active[last]
-				rp.active = rp.active[:last]
-			} else {
-				rp.setQueue(key, q[1:])
-				i++
-			}
-			rp.inFlight--
-			rp.advanceReply(p, round)
+	for i := 0; i < len(rp.active); {
+		key := rp.active[i]
+		q := rp.queueAt(key)
+		p := q[0]
+		q[0] = nil
+		if len(q) == 1 {
+			rp.setQueue(key, q[:0])
+			last := len(rp.active) - 1
+			rp.active[i] = rp.active[last]
+			rp.active = rp.active[:last]
+		} else {
+			rp.setQueue(key, q[1:])
+			i++
 		}
-	} else {
-		for key, q := range rp.links {
-			p := q[0]
-			q[0] = nil
-			if len(q) == 1 {
-				delete(rp.links, key)
-			} else {
-				rp.links[key] = q[1:]
-			}
-			rp.inFlight--
-			rp.advanceReply(p, round)
-		}
+		rp.inFlight--
+		rp.advanceReply(p, round)
 	}
 	rp.commit()
 }

@@ -272,8 +272,8 @@ func workersStrippedKey(r Result) string {
 		if r.SkipPhase1 {
 			b.WriteString("/nophase1")
 		}
-		if r.Hashed {
-			b.WriteString("/hashedkeys")
+		if r.Paged {
+			b.WriteString("/pagedkeys")
 		}
 		return b.String()
 	}

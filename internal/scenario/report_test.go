@@ -146,7 +146,8 @@ func TestWorkersStrippedKeyFallbackSeparatesModes(t *testing.T) {
 	variants := []Result{
 		{},
 		{Mode: ModeEREW},
-		{Mode: ModeCRCW, Hashed: true},
+		{Mode: ModeCRCW},
+		{Paged: true},
 		{Engine: EngineEvent, Fault: "dp0.2t4"},
 		{Discipline: "lifo", SkipPhase1: true},
 	}

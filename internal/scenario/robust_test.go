@@ -151,7 +151,6 @@ func TestSweepSpecValidation(t *testing.T) {
 		"bad fraction":      {func(s *Spec) { s.Workloads = []WorkRef{{Name: "khot", Fraction: 2}} }, "workloads"},
 		"negative trials":   {func(s *Spec) { s.Trials = -1 }, "trials"},
 		"negative timeout":  {func(s *Spec) { s.TimeoutMS = -5 }, "timeout_ms"},
-		"hashed and paged":  {func(s *Spec) { s.Hashed = []bool{true}; s.Paged = []bool{true} }, "paged"},
 		"unknown algorithm": {func(s *Spec) { s.Algorithm = "quantum" }, "algorithm"},
 		"unknown disc":      {func(s *Spec) { s.Disciplines = []string{"lifo"} }, "disciplines"},
 		"unknown mode":      {func(s *Spec) { s.Modes = []string{"qrqw"} }, "modes"},

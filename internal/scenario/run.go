@@ -45,7 +45,6 @@ type Result struct {
 	Engine        string  `json:"engine,omitempty"` // "event"; empty = synchronous rounds
 	Fault         string  `json:"fault,omitempty"`  // fault-level label of event cells
 	SkipPhase1    bool    `json:"skip_phase1,omitempty"`
-	Hashed        bool    `json:"hashed,omitempty"`
 	Paged         bool    `json:"paged,omitempty"`
 	Workers       int     `json:"workers"`
 	Trials        int     `json:"trials"`
@@ -296,8 +295,8 @@ var leases = engine.NewLeasePool(0)
 // reallocates on mismatch, so a coarse bucket costs a miss, never
 // correctness.
 func leaseKey(c Cell) string {
-	return fmt.Sprintf("%s/n=%d/k=%d/lv=%t/m=%s/w=%d/h=%t/p=%t/mb=%d",
-		c.Topo.Family, c.Topo.N, c.Topo.K, c.Topo.Leveled, c.Mode, c.Workers, c.Hashed, c.Paged, c.MemBudget)
+	return fmt.Sprintf("%s/n=%d/k=%d/lv=%t/m=%s/w=%d/p=%t/mb=%d",
+		c.Topo.Family, c.Topo.N, c.Topo.K, c.Topo.Leveled, c.Mode, c.Workers, c.Paged, c.MemBudget)
 }
 
 // memStats fills the Result's memory-pricing fields from the engine's
@@ -345,7 +344,7 @@ func router(ctx context.Context, b topology.Built, gen workload.Generator, p wor
 		g := b.Graph.(*mesh.Grid)
 		opts := mesh.Options{
 			Context: ctx, Algorithm: alg, Discipline: disc, Workers: c.Workers,
-			HashedKeys: c.Hashed, PagedKeys: c.Paged, MemBudget: c.MemBudget,
+			PagedKeys: c.Paged, MemBudget: c.MemBudget,
 			MemStats: ms, Lease: lease,
 		}
 		res.Algorithm, res.Discipline = algName(c.Algorithm), discName(c.Discipline)
@@ -383,7 +382,7 @@ func router(ctx context.Context, b topology.Built, gen workload.Generator, p wor
 			return nil, nil, err
 		}
 		net.Context, net.SkipPhase1 = ctx, c.SkipPhase1
-		net.HashedKeys, net.PagedKeys, net.MemBudget = c.Hashed, c.Paged, c.MemBudget
+		net.PagedKeys, net.MemBudget = c.Paged, c.MemBudget
 		net.MemStats, net.Lease = ms, lease
 		return res, emulTrial(res, net, gen, c), nil
 	}
@@ -407,7 +406,7 @@ func router(ctx context.Context, b topology.Built, gen workload.Generator, p wor
 			st := leveled.Route(b.Spec, pkts, leveled.Options{
 				Context: ctx,
 				Seed:    s * 31, SkipPhase1: c.SkipPhase1, Workers: c.Workers,
-				HashedKeys: c.Hashed, PagedKeys: c.Paged, MemBudget: c.MemBudget,
+				PagedKeys: c.Paged, MemBudget: c.MemBudget,
 				MemStats: ms, Lease: lease, Combine: combine, Event: evOpts,
 			})
 			res.Retransmits += st.Retransmits
@@ -418,7 +417,7 @@ func router(ctx context.Context, b topology.Built, gen workload.Generator, p wor
 		st, err := simnet.Route(b.Graph, pkts, simnet.Options{
 			Context: ctx,
 			Seed:    s * 31, SkipPhase1: c.SkipPhase1, Workers: c.Workers,
-			HashedKeys: c.Hashed, PagedKeys: c.Paged, MemBudget: c.MemBudget,
+			PagedKeys: c.Paged, MemBudget: c.MemBudget,
 			MemStats: ms, Lease: lease, Combine: combine, Event: evOpts,
 		})
 		res.Retransmits += st.Retransmits
@@ -465,7 +464,6 @@ func finish(res Result, c Cell, rounds, maxQs []int, elapsed time.Duration) Resu
 	res.Workers = c.Workers
 	res.Trials = c.Trials
 	res.Seed = c.Seed
-	res.Hashed = c.Hashed
 	res.Paged = c.Paged
 	res.RoundsMean = mathx.MeanInts(rounds)
 	res.RoundsMax = mathx.MaxInts(rounds)

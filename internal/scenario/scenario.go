@@ -90,19 +90,13 @@ type Spec struct {
 	// collapses on the specialized mesh router (whose three-stage
 	// structure has no such switch). Default: [false].
 	SkipPhase1 []bool `json:"skip_phase1,omitempty"`
-	// Hashed is the engine link-state ablation axis: true cells force
-	// the hashed-map fallback instead of the dense tables (identical
-	// results, different cost — the A/B pair lands in one artifact).
-	// Default: [false].
-	Hashed []bool `json:"hashed,omitempty"`
 	// Paged is the paged-table ablation axis: true cells force the
 	// engine's paged dense tables even on key spaces small enough for
 	// flat tables (identical results — the flat/paged A/B pair lands
 	// in one artifact). Networks past the flat-table cap route paged
 	// regardless; the per-cell resolved state lands in Result.State.
-	// Cells where both Hashed and Paged are true are dropped (the two
-	// forces contradict). Collapses on event cells, like Hashed.
-	// Default: [false].
+	// Collapses on event cells (the event loop keeps its own link
+	// index). Default: [false].
 	Paged []bool `json:"paged,omitempty"`
 	// MemBudget caps the engine's fixed link-table footprint in bytes
 	// on every cell of the sweep; a dense or paged resolution over
@@ -203,9 +197,6 @@ func (s Spec) withDefaults() Spec {
 	if len(s.SkipPhase1) == 0 {
 		s.SkipPhase1 = []bool{false}
 	}
-	if len(s.Hashed) == 0 {
-		s.Hashed = []bool{false}
-	}
 	if len(s.Paged) == 0 {
 		s.Paged = []bool{false}
 	}
@@ -253,7 +244,6 @@ type Cell struct {
 	// distribution rows and the adversarial search's seed sweeps.
 	Distribution bool
 	SkipPhase1   bool // ablation: no randomizing phase
-	Hashed       bool // force the engine's hashed-map link state
 	Paged        bool // force the engine's paged dense tables
 	// MemBudget caps the engine's fixed link-table footprint in bytes
 	// (0 = no budget); over-budget dense/paged resolutions degrade to
@@ -297,9 +287,6 @@ func (c Cell) Key() string {
 	}
 	if c.SkipPhase1 {
 		b.WriteString("/nophase1")
-	}
-	if c.Hashed {
-		b.WriteString("/hashedkeys")
 	}
 	if c.Paged {
 		b.WriteString("/pagedkeys")
@@ -439,12 +426,6 @@ func (s Spec) cells(cache *buildcache.Cache) (cells []Cell, release func(), err 
 	if s.TimeoutMS < 0 {
 		return nil, nil, &SpecError{Field: "timeout_ms", Err: fmt.Errorf("negative per-cell timeout %d", s.TimeoutMS)}
 	}
-	// Forcing the hashed map and the paged tables on every cell at once
-	// contradicts (the expansion drops hashed∧paged combinations), so a
-	// spec whose axes admit nothing else is malformed, not empty.
-	if allBool(s.Hashed, true) && allBool(s.Paged, true) {
-		return nil, nil, &SpecError{Field: "paged", Err: fmt.Errorf("hashed [true] and paged [true] contradict: a cell cannot force both link states")}
-	}
 	if _, err := meshAlgorithm(s.Algorithm); err != nil {
 		return nil, nil, &SpecError{Field: "algorithm", Err: err}
 	}
@@ -538,8 +519,8 @@ func (s Spec) cells(cache *buildcache.Cache) (cells []Cell, release func(), err 
 					// ablation every cell except those (the three-stage
 					// mesh router has no such switch). Event cells route
 					// generically — the §3.4 router is a synchronous
-					// construction — and ignore the hashed ablation (the
-					// event loop keeps its own link map), so both
+					// construction — and ignore the paged ablation (the
+					// event loop keeps its own link index), so both
 					// collapse there; the fault axis expands only on
 					// event cells.
 					meshSpecial := eng == "" && meshRouted(b, tr, gen.Class, mode)
@@ -552,50 +533,39 @@ func (s Spec) cells(cache *buildcache.Cache) (cells []Cell, release func(), err 
 					} else {
 						skips = []bool{false}
 					}
-					hashes := s.Hashed
 					pages := s.Paged
 					faults := []FaultSpec{{}}
 					var latency LatencySpec
 					if eng != "" {
-						hashes = []bool{false}
 						pages = []bool{false}
 						faults = s.Faults
 						latency = specLatency
 					}
 					for _, disc := range disciplines {
 						for _, skip := range skips {
-							for _, hashed := range hashes {
-								for _, paged := range pages {
-									// Forcing the hashed map and the paged
-									// tables at once contradicts; the grid
-									// keeps only the coherent combinations.
-									if hashed && paged {
-										continue
-									}
-									for _, fault := range faults {
-										for _, w := range s.Workers {
-											cells = append(cells, Cell{
-												Topo:         tr,
-												Work:         wr,
-												Built:        b,
-												Discipline:   disc,
-												Algorithm:    algorithm,
-												Mode:         mode,
-												Engine:       eng,
-												Latency:      latency,
-												Fault:        fault,
-												Workers:      w,
-												Trials:       s.Trials,
-												Seed:         s.Seed,
-												Distribution: s.Distribution,
-												SkipPhase1:   skip,
-												Hashed:       hashed,
-												Paged:        paged,
-												MemBudget:    s.MemBudget,
-												Timing:       s.Timing,
-												Timeout:      time.Duration(s.TimeoutMS) * time.Millisecond,
-											})
-										}
+							for _, paged := range pages {
+								for _, fault := range faults {
+									for _, w := range s.Workers {
+										cells = append(cells, Cell{
+											Topo:         tr,
+											Work:         wr,
+											Built:        b,
+											Discipline:   disc,
+											Algorithm:    algorithm,
+											Mode:         mode,
+											Engine:       eng,
+											Latency:      latency,
+											Fault:        fault,
+											Workers:      w,
+											Trials:       s.Trials,
+											Seed:         s.Seed,
+											Distribution: s.Distribution,
+											SkipPhase1:   skip,
+											Paged:        paged,
+											MemBudget:    s.MemBudget,
+											Timing:       s.Timing,
+											Timeout:      time.Duration(s.TimeoutMS) * time.Millisecond,
+										})
 									}
 								}
 							}
@@ -648,19 +618,6 @@ func meshAlgorithm(name string) (mesh.Algorithm, error) {
 	default:
 		return 0, fmt.Errorf("unknown mesh algorithm %q", name)
 	}
-}
-
-// allBool reports whether vs is non-empty and every value equals want.
-func allBool(vs []bool, want bool) bool {
-	if len(vs) == 0 {
-		return false
-	}
-	for _, v := range vs {
-		if v != want {
-			return false
-		}
-	}
-	return true
 }
 
 // meshDiscipline resolves the discipline axis value.

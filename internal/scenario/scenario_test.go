@@ -39,9 +39,9 @@ func testSpec() Spec {
 }
 
 // emulSpec crosses the emulation-mode axis (route, erew, crcw) with
-// both ablation axes over the three router kinds (generic direct,
-// specialized mesh, leveled-only), so the pool-width property covers
-// every dispatch path the mode axis can take.
+// the skip-phase-1 ablation axis over the three router kinds (generic
+// direct, specialized mesh, leveled-only), so the pool-width property
+// covers every dispatch path the mode axis can take.
 func emulSpec() Spec {
 	return Spec{
 		Name: "emul-test",
@@ -56,7 +56,6 @@ func emulSpec() Spec {
 		},
 		Modes:            []string{"route", "erew", "crcw"},
 		SkipPhase1:       []bool{false, true},
-		Hashed:           []bool{false, true},
 		Workers:          []int{1, 4},
 		Trials:           1,
 		Seed:             7,
@@ -208,8 +207,7 @@ func TestSweepWorkersAxisEquivalent(t *testing.T) {
 // TestSweepPagedAxisAndBudget pins the paged-table axis and the
 // memory-budget path end to end: paged twins reproduce the flat-dense
 // rounds bit-identically under "/pagedkeys" keys and record
-// state=paged, the contradictory hashed∧paged combination is dropped
-// from the grid, and an impossible budget degrades every cell to the
+// state=paged, and an impossible budget degrades every cell to the
 // hashed fallback — same rounds, Degraded recorded, and the
 // "/state=hashed" key suffix marking the demotion in the artifact.
 func TestSweepPagedAxisAndBudget(t *testing.T) {
@@ -223,17 +221,15 @@ func TestSweepPagedAxisAndBudget(t *testing.T) {
 			{Family: "butterfly", N: 3},
 		},
 		Workloads: []WorkRef{{Name: "perm"}},
-		Hashed:    []bool{false, true},
 		Paged:     []bool{false, true},
 		Workers:   []int{1, 4},
 		Trials:    1,
 		Seed:      7,
 	}
 	results := mustRun(t, spec)
-	// 3 surviving (hashed, paged) combinations x 3 topologies x 2
-	// workers: the hashed∧paged cell contradicts and is dropped.
-	if len(results) != 18 {
-		t.Fatalf("grid expanded to %d cells, want 18", len(results))
+	// 2 paged values x 3 topologies x 2 workers.
+	if len(results) != 12 {
+		t.Fatalf("grid expanded to %d cells, want 12", len(results))
 	}
 	byKey := make(map[string]Result, len(results))
 	for _, r := range results {
@@ -261,20 +257,12 @@ func TestSweepPagedAxisAndBudget(t *testing.T) {
 		if r.RoundsMean != flat.RoundsMean || r.RoundsMax != flat.RoundsMax || r.MaxQueue != flat.MaxQueue {
 			t.Fatalf("paged twin diverged from flat for %s:\n%+v\n%+v", key, r, flat)
 		}
-		hashed := byKey[strings.Replace(key, "/pagedkeys", "/hashedkeys", 1)]
-		if hashed.State != "hashed" {
-			t.Fatalf("hashed twin of %s resolved %q", key, hashed.State)
-		}
-		if r.RoundsMean != hashed.RoundsMean || r.MaxQueue != hashed.MaxQueue {
-			t.Fatalf("paged twin diverged from hashed for %s:\n%+v\n%+v", key, r, hashed)
-		}
 	}
 	if pagedCells != 6 {
 		t.Fatalf("%d paged cells, want 6", pagedCells)
 	}
 	// One byte of budget fits no table: every cell degrades to the
 	// hashed fallback with identical rounds and a marked key.
-	spec.Hashed = nil
 	spec.Paged = nil
 	spec.MemBudget = 1
 	for _, r := range mustRun(t, spec) {
@@ -341,9 +329,8 @@ func TestSweepGridShape(t *testing.T) {
 // TestSweepEmulGridShape pins the emulation axis's dispatch and axis
 // collapsing: erew cells carry only permutation-class traffic, the
 // specialized §3.3 scheme serves erew on the mesh while crcw routes
-// generically there, the skip-phase-1 axis collapses on the
-// specialized mesh router, and cells differing only in the hashed
-// link-state ablation report bit-identical routing statistics.
+// generically there, and the skip-phase-1 axis collapses on the
+// specialized mesh router.
 func TestSweepEmulGridShape(t *testing.T) {
 	results := mustRun(t, emulSpec())
 	byKey := make(map[string]Result, len(results))
@@ -394,29 +381,13 @@ func TestSweepEmulGridShape(t *testing.T) {
 	}
 	// khot only survives on crcw cells; combining must fire somewhere.
 	merges := 0
-	hashedPairs := 0
-	for key, r := range byKey {
+	for _, r := range byKey {
 		if r.Workload == "khot" && r.Mode == "crcw" {
 			merges += r.Merges
-		}
-		if !r.Hashed {
-			continue
-		}
-		dense, ok := byKey[strings.Replace(key, "/hashedkeys", "", 1)]
-		if !ok {
-			t.Fatalf("hashed cell %s has no dense twin", key)
-		}
-		hashedPairs++
-		if dense.RoundsMean != r.RoundsMean || dense.RoundsMax != r.RoundsMax ||
-			dense.MaxQueue != r.MaxQueue || dense.Merges != r.Merges {
-			t.Fatalf("hashed link state diverged:\n%+v\n%+v", dense, r)
 		}
 	}
 	if merges == 0 {
 		t.Fatal("no crcw cell recorded a combining merge")
-	}
-	if hashedPairs == 0 {
-		t.Fatal("hashed ablation axis did not expand")
 	}
 }
 
@@ -511,6 +482,15 @@ func TestReadSpec(t *testing.T) {
 	}
 	if _, err := ReadSpec(strings.NewReader(`{"topologiez": []}`)); err == nil {
 		t.Fatal("unknown field accepted")
+	}
+	// The retired hashed link-state axis is an unknown field now, not a
+	// silently ignored one (a one-byte mem_budget reaches that layout).
+	if _, err := ReadSpec(strings.NewReader(`{
+		"topologies": [{"family": "star", "n": 4}],
+		"workloads": [{"name": "perm"}],
+		"hashed": [true]
+	}`)); err == nil || !strings.Contains(err.Error(), "hashed") {
+		t.Fatalf("spec with a hashed axis: want an unknown-field error, got %v", err)
 	}
 	// The singular "mode" shorthand folds into the Modes axis.
 	spec, err = ReadSpec(strings.NewReader(`{

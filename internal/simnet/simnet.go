@@ -64,12 +64,6 @@ type Options struct {
 	// Workers is the round-engine worker count: 0 selects GOMAXPROCS,
 	// 1 the sequential loop. Any value yields identical results.
 	Workers int
-	// HashedKeys forces the engine's hashed-map link state instead of
-	// the dense-table fast path (reply-free runs encode links densely
-	// as node*degree + slot and declare the key space to the engine).
-	// Results are bit-identical either way; the knob exists for
-	// benchmarking the fallback and for path-coverage tests.
-	HashedKeys bool
 	// PagedKeys forces the engine's paged dense tables even when the
 	// declared key space is small enough for flat ones. The engine
 	// selects paged tables automatically beyond 2^24 keys; the knob
@@ -175,9 +169,7 @@ func Route(topo Topology, pkts []*packet.Packet, opts Options) (Stats, error) {
 		if deg := maxDegree(topo); deg > 0 {
 			r.slotKeys = true
 			r.stride = uint64(deg)
-			if !opts.HashedKeys {
-				maxKey = uint64(topo.Nodes()) * r.stride
-			}
+			maxKey = uint64(topo.Nodes()) * r.stride
 		}
 	}
 	engOpts := engine.Options{
