@@ -1,6 +1,6 @@
 // Command tables regenerates every experiment table of the paper
 // reproduction (the E1-E21 index in DESIGN.md) and prints them to
-// stdout in the format recorded in EXPERIMENTS.md. With -sweep it
+// stdout as aligned text tables. With -sweep it
 // instead consumes a `routebench -sweep` JSONL artifact (report rows,
 // if present, are skipped and recomputed) and renders the derived
 // report: the engine-workers speedup table and the per-class

@@ -63,8 +63,9 @@ func tracesOf(pkts []*packet.Packet) []ptrace {
 }
 
 // readHotSpots builds a read-request permutation workload with shared
-// addresses (four requesters per address), so runs with combining
-// exercise the merge/fan-out machinery.
+// addresses (four requesters per address). Each of the four reads at
+// its own module, so combining, which needs a common module, never
+// fires; readHotModules is the workload that merges.
 func readHotSpots(nodes int, seed uint64) []*packet.Packet {
 	perm := prng.New(seed).Perm(nodes)
 	pkts := make([]*packet.Packet, nodes)
@@ -442,6 +443,16 @@ func eventCases() []simCase {
 			g := star.New(5)
 			pkts := readHotSpots(g.Nodes(), seed)
 			st := mustSimRoute(g, pkts, simnet.Options{
+				Seed: seed * 31, Replies: true, Combine: true, Workers: workers, Event: eventFaulty(),
+			})
+			return st, tracesOf(pkts)
+		}},
+		{"butterfly7-event-replies", func(seed uint64, workers int) (any, []ptrace) {
+			// Replies and fan-out on the leveled router: the reverse keys
+			// carry the event engine's per-link randomness.
+			spec := leveled.NewButterfly(7)
+			pkts := readHotModules(spec.Width(), seed)
+			st := leveled.Route(spec, pkts, leveled.Options{
 				Seed: seed * 31, Replies: true, Combine: true, Workers: workers, Event: eventFaulty(),
 			})
 			return st, tracesOf(pkts)

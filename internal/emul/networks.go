@@ -12,6 +12,7 @@ import (
 	"pramemu/internal/ranade"
 	"pramemu/internal/simnet"
 	"pramemu/internal/topology"
+	"pramemu/internal/twophase"
 )
 
 // TopologyNetwork is the one generic adapter between the unified
@@ -108,29 +109,7 @@ func (n *TopologyNetwork) useLeveled() bool { return n.spec != nil && !n.direct 
 
 // Route implements Network.
 func (n *TopologyNetwork) Route(pkts []*packet.Packet, combine bool, seed uint64, workers int) RouteStats {
-	if n.useLeveled() {
-		s := leveled.Route(n.spec, pkts, leveled.Options{
-			Context:    n.Context,
-			Seed:       seed,
-			Replies:    true,
-			Combine:    combine,
-			Workers:    workers,
-			SkipPhase1: n.SkipPhase1,
-			PagedKeys:  n.PagedKeys,
-			MemBudget:  n.MemBudget,
-			MemStats:   n.MemStats,
-			Lease:      n.Lease,
-		})
-		return RouteStats{
-			Rounds:        s.Rounds,
-			MaxQueue:      s.MaxQueue,
-			Merges:        s.Merges,
-			MaxModuleLoad: s.MaxModuleLoad,
-			Requests:      s.DeliveredRequests,
-			Replies:       s.DeliveredReplies,
-		}
-	}
-	s, err := simnet.Route(n.graph, pkts, simnet.Options{
+	opts := twophase.Options{
 		Context:    n.Context,
 		Seed:       seed,
 		Replies:    true,
@@ -141,11 +120,17 @@ func (n *TopologyNetwork) Route(pkts []*packet.Packet, combine bool, seed uint64
 		MemBudget:  n.MemBudget,
 		MemStats:   n.MemStats,
 		Lease:      n.Lease,
-	})
-	if err != nil {
-		// The constructor verified the key space; any residual error
-		// is a programming bug, not an operating condition.
-		panic(fmt.Sprintf("emul: %v", err))
+	}
+	var s twophase.Stats
+	if n.useLeveled() {
+		s = leveled.Route(n.spec, pkts, opts)
+	} else {
+		var err error
+		if s, err = simnet.Route(n.graph, pkts, opts); err != nil {
+			// The constructor verified the key space; any residual error
+			// is a programming bug, not an operating condition.
+			panic(fmt.Sprintf("emul: %v", err))
+		}
 	}
 	return RouteStats{
 		Rounds:        s.Rounds,

@@ -1,12 +1,13 @@
 // Package experiments regenerates every evaluation result of the
 // paper. Each exported function is one experiment from the index in
 // DESIGN.md: it runs the relevant workloads over the relevant
-// networks and returns a metrics.Table whose rows are what
-// EXPERIMENTS.md records. The benchmark harness (bench_test.go) and
-// the cmd/tables binary both drive these functions; benchmarks use
-// reduced trial counts, cmd/tables the defaults. The grid experiments
-// (E2, E3, E10, E14, E16, E17, E18) are declarative scenario sweeps
-// over the topology and workload registries — their hand-rolled
+// networks and returns a metrics.Table, the rows cmd/tables prints.
+// Only cmd/tables drives these functions: the root bench_test.go
+// benchmarks (BenchmarkE1–E21) call simnet, leveled, mesh, emul and
+// the scenario layer directly at reduced sizes, borrowing just the
+// size and fault grids from here. The grid experiments (E2, E3, E10,
+// E14, E16, E17, E18) are declarative scenario sweeps over the
+// topology and workload registries — their hand-rolled
 // routing loops live in internal/scenario now, E17 additionally
 // sweeps the emulation-mode axis (erew/crcw PRAM steps instead of raw
 // routing), and E18 sweeps the engine and fault axes (asynchronous

@@ -1,99 +1,20 @@
 package leveled
 
 import (
-	"context"
-	"fmt"
-
 	"pramemu/internal/engine"
 	"pramemu/internal/packet"
-	"pramemu/internal/prng"
 	"pramemu/internal/queue"
+	"pramemu/internal/twophase"
 )
 
-// Options configures a routing run.
-type Options struct {
-	// Context, when non-nil, lets callers cancel or deadline a run;
-	// the engine polls it cheaply (per round / every few thousand
-	// events) and unwinds with an engine.Abort panic on expiry. A
-	// never-canceled run is bit-identical to one without a context.
-	Context context.Context
-	// Seed drives every random choice; equal seeds give identical runs.
-	Seed uint64
-	// SkipPhase1 disables the randomizing first traversal and routes
-	// every packet directly along its unique path. This is the
-	// ablation showing why Valiant's phase 1 is needed: adversarial
-	// permutations then congest single links.
-	SkipPhase1 bool
-	// Replies makes every delivered request retrace its recorded path
-	// in reverse as a reply (ReadReply / WriteAck), per the direction
-	// bits of Theorem 2.6. Rounds then counts until all replies are
-	// home.
-	Replies bool
-	// Combine merges same-kind requests for the same address and
-	// module that meet in a queue during the deterministic traversal
-	// (Theorem 2.6's message combining). Implies path recording.
-	Combine bool
-	// RecordPaths forces path recording even without Replies/Combine
-	// (used by path-property tests).
-	RecordPaths bool
-	// Workers is the round-engine worker count: 0 selects GOMAXPROCS,
-	// 1 the sequential loop. Any value yields identical results.
-	Workers int
-	// PagedKeys forces the engine's paged dense tables even when the
-	// declared key space fits flat ones (the engine pages
-	// automatically beyond 2^24 keys). Results are bit-identical
-	// either way; the knob exists for equivalence tests and
-	// benchmarks.
-	PagedKeys bool
-	// MemBudget caps the engine's fixed link-table footprint in bytes;
-	// over budget the run degrades to hashed state instead of
-	// erroring. Zero means no budget. See engine.Options.MemBudget.
-	MemBudget int64
-	// MemStats, when non-nil, receives the engine's resolved state and
-	// table footprint after the run.
-	MemStats *engine.MemStats
-	// Lease, when non-nil, recycles the engine's table and scratch
-	// allocations across same-shape runs (see engine.Options.Lease);
-	// results are bit-identical with or without it.
-	Lease *engine.Lease
-	// Event, when non-nil, routes on the asynchronous discrete-event
-	// engine instead of synchronous rounds (see engine.EventOptions).
-	// The router fills the node-decoding hooks so the straggler and
-	// delay-matrix axes key to width-space nodes (a straggler node is
-	// slow in every column). Stats.Rounds then reports the last
-	// delivery tick (the delivered time).
-	Event *engine.EventOptions
-}
+// Options configures a routing run; the two-phase routers share it.
+type Options = twophase.Options
 
-// Stats reports the outcome of one routing run.
-type Stats struct {
-	// Rounds is the total routing time in link steps, including the
-	// reply traffic when Options.Replies is set.
-	Rounds int
-	// RequestRounds is the round by which every forward packet had
-	// been delivered to its destination.
-	RequestRounds int
-	// MaxQueue is the largest queue occupancy observed on any link.
-	MaxQueue int
-	// TotalDelay sums every packet's time spent waiting in queues.
-	TotalDelay int64
-	// MaxPacketSteps is the largest hops+delay over all packets.
-	MaxPacketSteps int
-	// DeliveredRequests counts original requests that reached their
-	// module (combined packets count once per constituent).
-	DeliveredRequests int
-	// DeliveredReplies counts original requesters that received a
-	// reply.
-	DeliveredReplies int
-	// Merges counts combining events (Theorem 2.6).
-	Merges int
-	// Retransmits counts dropped transmissions the event engine's
-	// senders retried (zero on synchronous runs).
-	Retransmits int
-	// MaxModuleLoad is the largest number of (un-combined) requests
-	// delivered to a single last-column node.
-	MaxModuleLoad int
-}
+// Stats reports the outcome of one routing run. Rounds includes the
+// reply traffic when Options.Replies is set; MaxModuleLoad is the
+// largest number of (un-combined) requests delivered to a single
+// last-column node.
+type Stats = twophase.Stats
 
 const reverseBit = uint64(1) << 63
 
@@ -119,23 +40,14 @@ func (r *router) forwardKey(level, node, slot int) uint64 {
 	return (uint64(level)*r.width+uint64(node))*r.degree + uint64(slot)
 }
 
-// reverseKey encodes a reply link by its endpoint node pair, packed
-// as the width-based product (level*width + from)*width + to under the
-// reverse bit. Reply traffic is sparse in this space, exists only when
-// Options.Replies is set, and always sorts after the forward keys (the
-// reverse bit). The product is strictly monotone in (level, from, to),
-// the same order as the old 48/24-bit fields, so insertion order — and
-// therefore every result — is unchanged; unlike fixed bit fields it
-// keeps working up to topology-scale widths (2^31 nodes).
-func (r *router) reverseKey(level, from, to int) uint64 {
-	return reverseBit | ((uint64(level)*r.width+uint64(from))*r.width + uint64(to))
-}
-
 // router holds the immutable per-run configuration; all mutable state
-// lives in the engine's shard contexts.
+// lives in the engine's shard contexts. Reply links are keyed by the
+// Core's Reply encoding, reverseBit | (level*width + from)*width + to:
+// sparse, present only when Options.Replies is set, and sorted after
+// every forward key.
 type router struct {
+	twophase.Core
 	spec    Spec
-	opts    Options
 	levels  int // ℓ
 	logical int // logical columns: 2ℓ-1 (or ℓ when SkipPhase1)
 	record  bool
@@ -163,13 +75,16 @@ func Route(spec Spec, pkts []*packet.Packet, opts Options) Stats {
 		panic("leveled: width x degree key space overflows 63 bits")
 	}
 	r := &router{
+		Core: twophase.Core{
+			Name: "leveled", Nodes: spec.Width(), Opts: opts,
+			Reply: twophase.PairKey{Base: reverseBit, LevelStride: w, Width: w},
+		},
 		spec:    spec,
-		opts:    opts,
 		levels:  spec.Levels(),
 		logical: 2*spec.Levels() - 1,
-		record:  opts.Replies || opts.Combine || opts.RecordPaths,
-		width:   uint64(spec.Width()),
-		degree:  uint64(spec.Degree()),
+		record:  opts.Record(),
+		width:   w,
+		degree:  d,
 	}
 	if opts.SkipPhase1 {
 		r.logical = spec.Levels()
@@ -181,75 +96,26 @@ func Route(spec Spec, pkts []*packet.Packet, opts Options) Stats {
 	if !opts.Replies {
 		maxKey = uint64(r.logical-1) * r.width * r.degree
 	}
-	engOpts := engine.Options{
-		Context:    opts.Context,
-		Workers:    opts.Workers,
-		Seed:       opts.Seed,
-		MaxKey:     maxKey,
-		MemBudget:  opts.MemBudget,
-		ForcePaged: opts.PagedKeys,
-		Lease:      opts.Lease,
-	}
-	if opts.Event != nil {
-		ev := *opts.Event
+	eo := opts.Engine(maxKey)
+	if ev := eo.Event; ev != nil {
 		ev.Nodes = spec.Width()
 		ev.NodeOf = func(key uint64) int {
 			if key&reverseBit != 0 {
-				return int((key &^ reverseBit) / r.width % r.width)
+				return r.Reply.From(key)
 			}
 			return int((key / r.degree) % r.width)
 		}
 		ev.PeerOf = func(key uint64) int {
 			if key&reverseBit != 0 {
-				return int((key &^ reverseBit) % r.width)
+				return r.Reply.To(key)
 			}
 			cell := key / r.degree
 			return r.spec.Out(r.physLevel(int(cell/r.width)), int(cell%r.width), int(key%r.degree))
 		}
-		engOpts.Event = &ev
 	}
-	eng := engine.New(engOpts)
-	var combiner engine.Combiner
-	if opts.Combine {
-		combiner = r.combine
-	}
-	st := eng.Run(func(ctx *engine.Ctx) {
-		root := prng.New(opts.Seed)
-		seen := make(map[int]bool, len(pkts))
-		for _, p := range pkts {
-			if seen[p.ID] {
-				panic(fmt.Sprintf("leveled: duplicate packet ID %d", p.ID))
-			}
-			seen[p.ID] = true
-			if p.Src < 0 || p.Src >= spec.Width() || p.Dst < 0 || p.Dst >= spec.Width() {
-				panic(fmt.Sprintf("leveled: packet %d endpoints out of range", p.ID))
-			}
-			p.Rand = root.Split(uint64(p.ID))
-			p.Injected = 0
-			p.EnqueuedAt = 0
-			p.Arrived = -1
-			if r.record {
-				p.Path = append(p.Path[:0], int32(p.Src))
-			}
-			slot := r.chooseSlot(p, 0, p.Src)
-			ctx.Emit(r.forwardKey(0, p.Src, slot), p)
-		}
-	}, r.handle, combiner)
-	if opts.MemStats != nil {
-		*opts.MemStats = eng.MemStats()
-	}
-	return Stats{
-		Rounds:            st.Rounds,
-		RequestRounds:     st.RequestRounds,
-		MaxQueue:          st.MaxQueue,
-		TotalDelay:        st.TotalDelay,
-		MaxPacketSteps:    st.MaxPacketSteps,
-		DeliveredRequests: st.DeliveredRequests,
-		DeliveredReplies:  st.DeliveredReplies,
-		Merges:            st.Merges,
-		Retransmits:       st.Retransmits,
-		MaxModuleLoad:     st.MaxModuleLoad,
-	}
+	return r.Run(eo, pkts, func(ctx *engine.Ctx, p *packet.Packet) {
+		ctx.Emit(r.forwardKey(0, p.Src, r.chooseSlot(p, 0, p.Src)), p)
+	}, r.handle, r.combine)
 }
 
 // chooseSlot picks the outgoing link slot for a packet sitting at the
@@ -258,7 +124,7 @@ func Route(spec Spec, pkts []*packet.Packet, opts Options) Stats {
 func (r *router) chooseSlot(p *packet.Packet, logicalCol, node int) int {
 	physical := logicalCol
 	random := true
-	if r.opts.SkipPhase1 {
+	if r.Opts.SkipPhase1 {
 		random = false
 	} else if logicalCol >= r.levels-1 {
 		physical = logicalCol - (r.levels - 1)
@@ -272,7 +138,7 @@ func (r *router) chooseSlot(p *packet.Packet, logicalCol, node int) int {
 
 // physLevel maps a logical edge level to the Spec level it uses.
 func (r *router) physLevel(logicalEdge int) int {
-	if r.opts.SkipPhase1 || logicalEdge < r.levels-1 {
+	if r.Opts.SkipPhase1 || logicalEdge < r.levels-1 {
 		return logicalEdge
 	}
 	return logicalEdge - (r.levels - 1)
@@ -284,7 +150,7 @@ func (r *router) handle(ctx *engine.Ctx, a engine.Arrival, round int) {
 	p := a.P
 	p.Hops++
 	if a.Key&reverseBit != 0 {
-		r.handleReplyArrival(ctx, p, round)
+		r.Retrace(ctx, p, round)
 		return
 	}
 	cell := a.Key / r.degree
@@ -297,111 +163,11 @@ func (r *router) handle(ctx *engine.Ctx, a engine.Arrival, round int) {
 		p.RecordPath(node)
 	}
 	if col == r.logical-1 {
-		r.deliverForward(ctx, p, node, round)
+		r.Deliver(ctx, p, node, round)
 		return
 	}
 	next := r.chooseSlot(p, col, node)
 	ctx.Emit(r.forwardKey(col, node, next), p)
-}
-
-// deliverForward completes a request's forward journey at the module
-// node and, if configured, spawns its reply.
-func (r *router) deliverForward(ctx *engine.Ctx, p *packet.Packet, node, round int) {
-	if node != p.Dst {
-		panic(fmt.Sprintf("leveled: packet %d delivered to %d, want %d", p.ID, node, p.Dst))
-	}
-	st := ctx.Stats()
-	p.Arrived = round
-	if round > st.RequestRounds {
-		st.RequestRounds = round
-	}
-	wantReply := r.opts.Replies && p.Kind == packet.ReadRequest
-	if !wantReply {
-		// The packet's journey ends here: writes are fire-and-forget
-		// ("back in case of a read instruction", §2.1).
-		r.noteFinished(ctx, p)
-	}
-	st.DeliveredRequests += p.TotalCombined()
-	ctx.AddLoad(node, p.TotalCombined())
-	if !wantReply {
-		return
-	}
-	r.makeReply(p)
-	p.Stage = r.logical - 1 // current column index while retracing
-	a := r.replyArrival(p)
-	ctx.Emit(a.Key, a.P)
-}
-
-// makeReply flips a delivered request into its reply kind in place.
-func (r *router) makeReply(p *packet.Packet) {
-	switch p.Kind {
-	case packet.ReadRequest:
-		p.Kind = packet.ReadReply
-	case packet.WriteRequest:
-		p.Kind = packet.WriteAck
-	default:
-		p.Kind = packet.ReadReply
-	}
-}
-
-// replyArrival builds the queue insertion for a reply at column
-// p.Stage about to traverse the reverse link toward column p.Stage-1.
-func (r *router) replyArrival(p *packet.Packet) engine.Arrival {
-	from := int(p.Path[p.Stage])
-	to := int(p.Path[p.Stage-1])
-	return engine.Arrival{Key: r.reverseKey(p.Stage-1, from, to), P: p}
-}
-
-// handleReplyArrival advances a retracing reply one column toward its
-// requester, fanning out combined children where they merged.
-func (r *router) handleReplyArrival(ctx *engine.Ctx, p *packet.Packet, round int) {
-	p.Stage--
-	col := p.Stage
-	// Fan out any children that were combined into p at this column.
-	for i, at := range p.CombinedAt {
-		if at != col {
-			continue
-		}
-		child := p.Children[i]
-		r.makeReply(child)
-		if child.Kind == packet.ReadReply {
-			child.Value = p.Value
-		}
-		child.Stage = col
-		if col == 0 {
-			r.finishReply(ctx, child, round)
-		} else {
-			a := r.replyArrival(child)
-			ctx.Emit(a.Key, a.P)
-		}
-	}
-	if col == 0 {
-		r.finishReply(ctx, p, round)
-		return
-	}
-	a := r.replyArrival(p)
-	ctx.Emit(a.Key, a.P)
-}
-
-func (r *router) finishReply(ctx *engine.Ctx, p *packet.Packet, round int) {
-	if int(p.Path[0]) != p.Src {
-		panic(fmt.Sprintf("leveled: reply %d retraced to %d, want %d", p.ID, p.Path[0], p.Src))
-	}
-	p.Arrived = round
-	ctx.Stats().DeliveredReplies++
-	r.noteFinished(ctx, p)
-}
-
-// noteFinished folds a finished packet's cost into the aggregates.
-func (r *router) noteFinished(ctx *engine.Ctx, p *packet.Packet) {
-	st := ctx.Stats()
-	st.TotalDelay += int64(p.Delay)
-	if s := p.Steps(); s > st.MaxPacketSteps {
-		st.MaxPacketSteps = s
-	}
-	if p.Arrived > st.Rounds {
-		st.Rounds = p.Arrived
-	}
 }
 
 // onDeterministicPath reports whether a forward edge key belongs to
@@ -410,7 +176,7 @@ func (r *router) noteFinished(ctx *engine.Ctx, p *packet.Packet) {
 // and may therefore combine.
 func (r *router) onDeterministicPath(key uint64) bool {
 	level := int(key / (r.width * r.degree))
-	return r.opts.SkipPhase1 || level >= r.levels-1
+	return r.Opts.SkipPhase1 || level >= r.levels-1
 }
 
 // combine merges an arriving request into a queued one with the same

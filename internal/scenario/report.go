@@ -239,15 +239,17 @@ func effectiveWorkers(w int) int {
 	return w
 }
 
-// workersStrippedKey removes the trailing workers segment from the
-// result's scenario key (reconstructing the key when the result came
-// from a single run and has none). The reconstructed fallback carries
+// workersStrippedKey removes the workers segment from the result's
+// scenario key (reconstructing the key when the result came from a
+// single run and has none). A budget demotion's "/state=" suffix
+// follows that segment, so it is set aside and re-appended: degraded
+// cells group along the workers axis like any other. The reconstructed fallback carries
 // every axis the sweep key does — topology instance, mode, engine,
 // fault level, discipline, algorithm and the ablations — so two
 // single runs differing only in, say, mode can never collapse into
 // one bogus speedup group.
 func workersStrippedKey(r Result) string {
-	key := r.Scenario
+	key := baseKey(r)
 	if key == "" {
 		var b strings.Builder
 		fmt.Fprintf(&b, "%s/%s", r.Topology, r.Workload)
@@ -277,9 +279,9 @@ func workersStrippedKey(r Result) string {
 		}
 		return b.String()
 	}
-	suffix := "/w=" + strconv.Itoa(r.Workers)
-	if len(key) >= len(suffix) && key[len(key)-len(suffix):] == suffix {
-		return key[:len(key)-len(suffix)]
+	key = strings.TrimSuffix(key, "/w="+strconv.Itoa(r.Workers))
+	if r.Degraded {
+		key += "/state=" + r.State
 	}
 	return key
 }

@@ -15,45 +15,51 @@ import (
 )
 
 func TestReportRows(t *testing.T) {
-	results := mustRun(t, testSpec())
-	rows := Report(results)
-	speedups, classes := 0, 0
-	groupRounds := make(map[string]float64)
-	for _, r := range rows {
-		switch r.Report {
-		case "speedup":
-			speedups++
-			if r.Workers != 1 && r.Workers != 4 {
-				t.Fatalf("unexpected workers value: %+v", r)
+	// An impossible budget degrades every cell, appending "/state=hashed"
+	// after the workers segment of its key; the groups must still form.
+	degraded := testSpec()
+	degraded.MemBudget = 1
+	for _, spec := range []Spec{testSpec(), degraded} {
+		results := mustRun(t, spec)
+		rows := Report(results)
+		speedups, classes := 0, 0
+		groupRounds := make(map[string]float64)
+		for _, r := range rows {
+			switch r.Report {
+			case "speedup":
+				speedups++
+				if r.Workers != 1 && r.Workers != 4 {
+					t.Fatalf("unexpected workers value: %+v", r)
+				}
+				if r.Speedup != 0 {
+					t.Fatalf("untimed sweep produced a speedup: %+v", r)
+				}
+				if prev, seen := groupRounds[r.Scenario]; seen && prev != r.RoundsMean {
+					t.Fatalf("rounds diverged along the workers axis for %s: %v vs %v",
+						r.Scenario, prev, r.RoundsMean)
+				}
+				groupRounds[r.Scenario] = r.RoundsMean
+				if strings.Contains(r.Scenario, "/w=") {
+					t.Fatalf("speedup group key retains a workers segment: %+v", r)
+				}
+			case "class":
+				classes++
+				if r.Cells == 0 || r.Families == 0 || r.RoundsPerDiamMean <= 0 {
+					t.Fatalf("degenerate class row: %+v", r)
+				}
+			default:
+				t.Fatalf("unknown report kind: %+v", r)
 			}
-			if r.Speedup != 0 {
-				t.Fatalf("untimed sweep produced a speedup: %+v", r)
-			}
-			if prev, seen := groupRounds[r.Scenario]; seen && prev != r.RoundsMean {
-				t.Fatalf("rounds diverged along the workers axis for %s: %v vs %v",
-					r.Scenario, prev, r.RoundsMean)
-			}
-			groupRounds[r.Scenario] = r.RoundsMean
-			if strings.Contains(r.Scenario, "/w=") {
-				t.Fatalf("speedup group key retains a workers segment: %+v", r)
-			}
-		case "class":
-			classes++
-			if r.Cells == 0 || r.Families == 0 || r.RoundsPerDiamMean <= 0 {
-				t.Fatalf("degenerate class row: %+v", r)
-			}
-		default:
-			t.Fatalf("unknown report kind: %+v", r)
 		}
-	}
-	// testSpec crosses workers {1, 4} everywhere: every one of the 18
-	// cells lands in a speedup group of two.
-	if speedups != len(results) {
-		t.Fatalf("%d speedup rows for %d results", speedups, len(results))
-	}
-	// Two workload classes (permutation, many-one), route mode only.
-	if classes != 2 {
-		t.Fatalf("%d class rows, want 2", classes)
+		// testSpec crosses workers {1, 4} everywhere: every one of the 18
+		// cells lands in a speedup group of two.
+		if speedups != len(results) {
+			t.Fatalf("mem_budget=%d: %d speedup rows for %d results", spec.MemBudget, speedups, len(results))
+		}
+		// Two workload classes (permutation, many-one), route mode only.
+		if classes != 2 {
+			t.Fatalf("mem_budget=%d: %d class rows, want 2", spec.MemBudget, classes)
+		}
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"pramemu/internal/packet"
 	"pramemu/internal/simnet"
 	"pramemu/internal/topology"
+	"pramemu/internal/twophase"
 	"pramemu/internal/workload"
 )
 
@@ -398,28 +399,23 @@ func router(ctx context.Context, b topology.Built, gen workload.Generator, p wor
 		}
 		res.Engine, res.Fault = EngineEvent, c.Fault.Label()
 	}
-	combine := gen.Needs&workload.NeedsCombining != 0
+	opts := twophase.Options{
+		Context: ctx, SkipPhase1: c.SkipPhase1, Workers: c.Workers,
+		PagedKeys: c.Paged, MemBudget: c.MemBudget,
+		MemStats: ms, Lease: lease, Event: evOpts,
+		Combine: gen.Needs&workload.NeedsCombining != 0,
+	}
 	// Round-engine runs never retransmit, so the event arms' Retransmits
 	// accumulation leaves round cells at zero.
-	if useSpec {
-		return res, func(pkts []*packet.Packet, s uint64) (int, int, error) {
-			st := leveled.Route(b.Spec, pkts, leveled.Options{
-				Context: ctx,
-				Seed:    s * 31, SkipPhase1: c.SkipPhase1, Workers: c.Workers,
-				PagedKeys: c.Paged, MemBudget: c.MemBudget,
-				MemStats: ms, Lease: lease, Combine: combine, Event: evOpts,
-			})
-			res.Retransmits += st.Retransmits
-			return st.Rounds, st.MaxQueue, nil
-		}, nil
-	}
 	return res, func(pkts []*packet.Packet, s uint64) (int, int, error) {
-		st, err := simnet.Route(b.Graph, pkts, simnet.Options{
-			Context: ctx,
-			Seed:    s * 31, SkipPhase1: c.SkipPhase1, Workers: c.Workers,
-			PagedKeys: c.Paged, MemBudget: c.MemBudget,
-			MemStats: ms, Lease: lease, Combine: combine, Event: evOpts,
-		})
+		opts.Seed = s * 31
+		var st twophase.Stats
+		var err error
+		if useSpec {
+			st = leveled.Route(b.Spec, pkts, opts)
+		} else {
+			st, err = simnet.Route(b.Graph, pkts, opts)
+		}
 		res.Retransmits += st.Retransmits
 		return st.Rounds, st.MaxQueue, err
 	}, nil

@@ -1,14 +1,15 @@
 // Package scenario turns (topology × workload × discipline ×
 // emulation mode × ablations × engine workers × trials) grids into
-// results: the declarative sweep layer the ROADMAP's "as many
-// scenarios as you can imagine" north star calls for. A Spec names
+// results: the declarative sweep layer behind every byte-gated
+// artifact in sweeps/expected, and so the contract that keeps the
+// results fixed while the code under it gets smaller. A Spec names
 // axes by registry key — the topology registry supplies the networks,
 // the workload registry the traffic — so a family or generator
 // registered tomorrow is sweepable with zero edits here. The mode
 // axis decides what a cell prices: raw routing ("route"), or one
 // emulated PRAM step per trial ("erew"/"crcw", Theorems 2.5/2.6)
 // dispatched through internal/emul with the workload's packets as the
-// step's memory accesses; the skip_phase1 and hashed axes are
+// step's memory accesses; the skip_phase1 and paged axes are
 // ablations, so A/B pairs land in one artifact. Run executes the
 // cross-product in parallel over a worker pool and returns
 // seed-deterministic, order-independent results: the JSONL a parallel
@@ -110,8 +111,8 @@ type Spec struct {
 	// cells route on the generic simulators (the specialized mesh
 	// router is a synchronous construction), so the discipline/
 	// algorithm axis collapses on them, as do the emulation modes
-	// (erew/crcw price the synchronous PRAM step model) and the hashed
-	// ablation (the event loop keeps its own link map).
+	// (erew/crcw price the synchronous PRAM step model) and the paged
+	// ablation (the event loop keeps its own link index).
 	// Default: ["round"].
 	Engines []string `json:"engines,omitempty"`
 	// Engine is the single-value shorthand for Engines.

@@ -12,7 +12,8 @@
 // node to its correct destination"). Replies retrace the recorded
 // request path in reverse, and CRCW combining (Theorem 2.6) merges
 // same-address requests that meet in a queue during the deterministic
-// final approach.
+// final approach. That request/reply lifecycle, shared with the
+// leveled router, lives in internal/twophase.
 //
 // The round loop runs on the shared internal/engine core: link queues
 // are sharded over a worker pool, and the result is bit-for-bit
@@ -20,14 +21,13 @@
 package simnet
 
 import (
-	"context"
 	"fmt"
 
 	"pramemu/internal/engine"
 	"pramemu/internal/packet"
-	"pramemu/internal/prng"
 	"pramemu/internal/queue"
 	"pramemu/internal/topology"
+	"pramemu/internal/twophase"
 )
 
 // Topology is the unified graph interface of internal/topology; the
@@ -43,94 +43,33 @@ type Topology = topology.Graph
 // may combine whenever node and destination match.
 type TakenSensitive = topology.TakenSensitive
 
-// Options configures a routing run.
-type Options struct {
-	// Context, when non-nil, lets callers cancel or deadline a run;
-	// the engine polls it cheaply (per round / every few thousand
-	// events) and unwinds with an engine.Abort panic on expiry. A
-	// never-canceled run is bit-identical to one without a context.
-	Context context.Context
-	// Seed drives the random intermediate destinations.
-	Seed uint64
-	// SkipPhase1 routes packets directly along deterministic paths
-	// (the ablation showing why the randomizing phase matters).
-	SkipPhase1 bool
-	// Replies makes delivered requests retrace their paths as replies.
-	Replies bool
-	// Combine enables Theorem 2.6 message combining during phase 2.
-	Combine bool
-	// RecordPaths forces path recording even without Replies/Combine.
-	RecordPaths bool
-	// Workers is the round-engine worker count: 0 selects GOMAXPROCS,
-	// 1 the sequential loop. Any value yields identical results.
-	Workers int
-	// PagedKeys forces the engine's paged dense tables even when the
-	// declared key space is small enough for flat ones. The engine
-	// selects paged tables automatically beyond 2^24 keys; the knob
-	// exists so equivalence tests and benchmarks can price the paged
-	// path at small scale. Results are bit-identical either way.
-	PagedKeys bool
-	// MemBudget caps the engine's fixed link-table footprint in bytes;
-	// over budget the run degrades to hashed state (pay-per-live-key)
-	// instead of erroring. Zero means no budget. See
-	// engine.Options.MemBudget.
-	MemBudget int64
-	// MemStats, when non-nil, receives the engine's resolved state and
-	// table footprint after the run (ArenaBytes is left to the caller,
-	// which owns the packet arena).
-	MemStats *engine.MemStats
-	// Lease, when non-nil, recycles the engine's table and scratch
-	// allocations across same-shape runs (see engine.Options.Lease);
-	// results are bit-identical with or without it.
-	Lease *engine.Lease
-	// Event, when non-nil, routes on the asynchronous discrete-event
-	// engine instead of synchronous rounds: per-link latency from the
-	// configured distribution, sender-side bandwidth caps and fault
-	// injection (see engine.EventOptions). The simulator fills the
-	// node-decoding hooks so the straggler and delay-matrix axes key
-	// to topology nodes. Stats.Rounds then reports the last delivery
-	// tick (the delivered time).
-	Event *engine.EventOptions
-}
+// Options configures a routing run; the two-phase routers share it.
+type Options = twophase.Options
 
 // Stats aggregates one routing run; the fields mirror the measures of
 // §2.2.1 (routing time, queue size, delay).
-type Stats struct {
-	Rounds            int
-	RequestRounds     int
-	MaxQueue          int
-	TotalDelay        int64
-	MaxPacketSteps    int
-	DeliveredRequests int
-	DeliveredReplies  int
-	Merges            int
-	Retransmits       int
-	MaxModuleLoad     int
-}
+type Stats = twophase.Stats
 
 // router holds the immutable per-run configuration; all mutable state
 // lives in the engine's shard contexts.
 type router struct {
+	twophase.Core
 	topo       Topology
-	opts       Options
 	record     bool
 	matchTaken bool // combining requires equal per-phase progress
 	// slotKeys selects the dense link encoding node*stride + slot,
 	// used whenever the run spawns no replies. Replies retrace
 	// recorded paths as (from, to) node pairs with no slot attached,
 	// and on directed topologies the reverse hop has no forward slot
-	// at all, so reply-bearing runs keep the packed-pair encoding for
-	// forward and reverse traffic alike (sharing one queue per
-	// directed link between requests and replies, as §2.2.1's
-	// one-packet-per-link round model requires).
+	// at all, so reply-bearing runs key forward and reverse traffic
+	// alike by the packed pair (from<<32 | to, the Core's Reply key),
+	// sharing one queue per directed link between requests and
+	// replies, as §2.2.1's one-packet-per-link round model requires.
+	// topology.MaxNodes (2^31) keeps both 32-bit halves in range, so
+	// the packed encoding cannot collide.
 	slotKeys bool
 	stride   uint64 // maximum out-degree, the slot-key stride
 }
-
-// edgeKey packs a directed (from, to) node pair into one 64-bit link
-// key, 32 bits per endpoint. topology.MaxNodes (2^31) keeps both
-// halves in range, so the encoding cannot collide.
-func edgeKey(from, to int) uint64 { return uint64(from)<<32 | uint64(to) }
 
 // maxDegree scans the topology for the widest node, the stride of the
 // dense link encoding.
@@ -157,9 +96,12 @@ func Route(topo Topology, pkts []*packet.Packet, opts Options) (Stats, error) {
 			topo.Name(), topo.Nodes(), topology.MaxNodes)
 	}
 	r := &router{
+		Core: twophase.Core{
+			Name: "simnet", Nodes: topo.Nodes(), Opts: opts,
+			Reply: twophase.PairKey{Width: 1 << 32},
+		},
 		topo:   topo,
-		opts:   opts,
-		record: opts.Replies || opts.Combine || opts.RecordPaths,
+		record: opts.Record(),
 	}
 	if ts, ok := topo.(TakenSensitive); ok {
 		r.matchTaken = ts.TakenSensitive()
@@ -172,87 +114,41 @@ func Route(topo Topology, pkts []*packet.Packet, opts Options) (Stats, error) {
 			maxKey = uint64(topo.Nodes()) * r.stride
 		}
 	}
-	engOpts := engine.Options{
-		Context:    opts.Context,
-		Workers:    opts.Workers,
-		Seed:       opts.Seed,
-		MaxKey:     maxKey,
-		MemBudget:  opts.MemBudget,
-		ForcePaged: opts.PagedKeys,
-		Lease:      opts.Lease,
-	}
-	if opts.Event != nil {
-		ev := *opts.Event
+	eo := opts.Engine(maxKey)
+	if ev := eo.Event; ev != nil {
 		ev.Nodes = topo.Nodes()
 		if r.slotKeys {
 			stride := r.stride
 			ev.NodeOf = func(key uint64) int { return int(key / stride) }
 			ev.PeerOf = func(key uint64) int { return topo.Neighbor(int(key/stride), int(key%stride)) }
 		} else {
-			// Reply-bearing runs use the packed (from, to) pair encoding
-			// for forward and reverse traffic alike.
-			ev.NodeOf = func(key uint64) int { return int(key >> 32) }
-			ev.PeerOf = func(key uint64) int { return int(key & 0xffffffff) }
+			ev.NodeOf, ev.PeerOf = r.Reply.From, r.Reply.To
 		}
-		engOpts.Event = &ev
 	}
-	eng := engine.New(engOpts)
-	var combiner engine.Combiner
-	if opts.Combine {
-		combiner = r.combine
-	}
-	st := eng.Run(func(ctx *engine.Ctx) {
-		root := prng.New(opts.Seed)
-		seen := make(map[int]bool, len(pkts))
-		for _, p := range pkts {
-			if seen[p.ID] {
-				panic(fmt.Sprintf("simnet: duplicate packet ID %d", p.ID))
-			}
-			seen[p.ID] = true
-			if p.Src < 0 || p.Src >= topo.Nodes() || p.Dst < 0 || p.Dst >= topo.Nodes() {
-				panic(fmt.Sprintf("simnet: packet %d endpoints out of range", p.ID))
-			}
-			p.Rand = root.Split(uint64(p.ID))
-			p.Injected = 0
-			p.Arrived = -1
-			p.Phase = 1
-			p.Stage = 0 // hops taken toward the current target
-			if opts.SkipPhase1 {
-				p.Phase = 2
-				p.Inter = p.Dst
-			} else {
-				p.Inter = p.Rand.Intn(topo.Nodes())
-			}
-			if r.record {
-				p.Path = append(p.Path[:0], int32(p.Src))
-			}
-			if a, delivered := r.advance(ctx, p, p.Src, 0); !delivered {
-				ctx.Emit(a.Key, a.P)
-			}
-			// src == intermediate == dst: the packet never moves.
-		}
-	}, r.handle, combiner)
-	if opts.MemStats != nil {
-		*opts.MemStats = eng.MemStats()
-	}
-	return Stats{
-		Rounds:            st.Rounds,
-		RequestRounds:     st.RequestRounds,
-		MaxQueue:          st.MaxQueue,
-		TotalDelay:        st.TotalDelay,
-		MaxPacketSteps:    st.MaxPacketSteps,
-		DeliveredRequests: st.DeliveredRequests,
-		DeliveredReplies:  st.DeliveredReplies,
-		Merges:            st.Merges,
-		Retransmits:       st.Retransmits,
-		MaxModuleLoad:     st.MaxModuleLoad,
-	}, nil
+	return r.Run(eo, pkts, r.start, r.handle, r.combine), nil
 }
 
-// advance decides the next queue insertion for a forward packet
-// standing at node, or reports final delivery. round is the current
-// simulation round (used for delivery bookkeeping).
-func (r *router) advance(ctx *engine.Ctx, p *packet.Packet, node, round int) (engine.Arrival, bool) {
+// start sends an admitted packet toward its random intermediate node
+// (or straight to Dst under SkipPhase1).
+func (r *router) start(ctx *engine.Ctx, p *packet.Packet) {
+	p.Phase = 1
+	p.Stage = 0 // hops taken toward the current target
+	if r.Opts.SkipPhase1 {
+		p.Phase = 2
+		p.Inter = p.Dst
+	} else {
+		p.Inter = p.Rand.Intn(r.topo.Nodes())
+	}
+	if key, delivered := r.advance(ctx, p, p.Src, 0); !delivered {
+		ctx.Emit(key, p)
+	}
+	// src == intermediate == dst: the packet never moves.
+}
+
+// advance returns the next link for a forward packet standing at
+// node, or delivers it there (see twophase.Core.Deliver). round is
+// the current simulation round.
+func (r *router) advance(ctx *engine.Ctx, p *packet.Packet, node, round int) (uint64, bool) {
 	for {
 		target := p.Inter
 		if p.Phase == 2 {
@@ -261,18 +157,17 @@ func (r *router) advance(ctx *engine.Ctx, p *packet.Packet, node, round int) (en
 		slot, done := r.topo.NextHop(node, target, p.Stage)
 		if !done {
 			if r.slotKeys {
-				return engine.Arrival{Key: uint64(node)*r.stride + uint64(slot), P: p}, false
+				return uint64(node)*r.stride + uint64(slot), false
 			}
-			to := r.topo.Neighbor(node, slot)
-			return engine.Arrival{Key: edgeKey(node, to), P: p}, false
+			return r.Reply.Key(0, node, r.topo.Neighbor(node, slot)), false
 		}
 		if p.Phase == 1 {
 			p.Phase = 2
 			p.Stage = 0
 			continue
 		}
-		r.deliverForward(ctx, p, node, round)
-		return engine.Arrival{}, true
+		r.Deliver(ctx, p, node, round)
+		return 0, true
 	}
 }
 
@@ -282,121 +177,21 @@ func (r *router) handle(ctx *engine.Ctx, a engine.Arrival, round int) {
 	p := a.P
 	p.Hops++
 	if p.Kind.IsReply() {
-		r.handleReplyArrival(ctx, p, round)
+		r.Retrace(ctx, p, round)
 		return
 	}
 	var to int
 	if r.slotKeys {
 		to = r.topo.Neighbor(int(a.Key/r.stride), int(a.Key%r.stride))
 	} else {
-		to = int(a.Key & 0xffffffff)
+		to = r.Reply.To(a.Key)
 	}
 	p.Stage++
 	if r.record {
 		p.RecordPath(to)
 	}
-	if next, delivered := r.advance(ctx, p, to, round); !delivered {
-		ctx.Emit(next.Key, next.P)
-	} else if p.Kind == packet.ReadReply && p.Stage > 0 {
-		a := r.replyArrival(p)
-		ctx.Emit(a.Key, a.P)
-	}
-}
-
-func (r *router) deliverForward(ctx *engine.Ctx, p *packet.Packet, node, round int) {
-	if node != p.Dst {
-		panic(fmt.Sprintf("simnet: packet %d delivered to %d, want %d", p.ID, node, p.Dst))
-	}
-	st := ctx.Stats()
-	p.Arrived = round
-	if round > st.RequestRounds {
-		st.RequestRounds = round
-	}
-	n := p.TotalCombined()
-	st.DeliveredRequests += n
-	ctx.AddLoad(node, n)
-	if r.opts.Replies && p.Kind == packet.ReadRequest {
-		r.makeReply(p)
-		p.Stage = len(p.Path) - 1 // index into Path while retracing
-		if p.Stage == 0 {
-			// The request never left home (src == dst == intermediate);
-			// its reply is immediately home too.
-			r.finishReply(ctx, p, round)
-		}
-	} else {
-		// Writes are fire-and-forget ("back in case of a read
-		// instruction", §2.1).
-		r.noteFinished(ctx, p)
-	}
-}
-
-func (r *router) makeReply(p *packet.Packet) {
-	switch p.Kind {
-	case packet.ReadRequest:
-		p.Kind = packet.ReadReply
-	case packet.WriteRequest:
-		p.Kind = packet.WriteAck
-	default:
-		p.Kind = packet.ReadReply
-	}
-}
-
-// replyArrival builds the queue insertion for a reply at Path index
-// p.Stage about to move to index p.Stage-1.
-func (r *router) replyArrival(p *packet.Packet) engine.Arrival {
-	from := int(p.Path[p.Stage])
-	to := int(p.Path[p.Stage-1])
-	return engine.Arrival{Key: edgeKey(from, to), P: p}
-}
-
-func (r *router) handleReplyArrival(ctx *engine.Ctx, p *packet.Packet, round int) {
-	p.Stage--
-	idx := p.Stage
-	for i, at := range p.CombinedAt {
-		if at != idx {
-			continue
-		}
-		child := p.Children[i]
-		r.makeReply(child)
-		if child.Kind == packet.ReadReply {
-			child.Value = p.Value
-		}
-		// The merge node is the last entry of the child's own frozen
-		// path; its index there can differ from idx when the two
-		// requests reached the node over different-length routes.
-		child.Stage = len(child.Path) - 1
-		if child.Stage == 0 {
-			r.finishReply(ctx, child, round)
-		} else {
-			a := r.replyArrival(child)
-			ctx.Emit(a.Key, a.P)
-		}
-	}
-	if idx == 0 {
-		r.finishReply(ctx, p, round)
-		return
-	}
-	a := r.replyArrival(p)
-	ctx.Emit(a.Key, a.P)
-}
-
-func (r *router) finishReply(ctx *engine.Ctx, p *packet.Packet, round int) {
-	if int(p.Path[0]) != p.Src {
-		panic(fmt.Sprintf("simnet: reply %d retraced to %d, want %d", p.ID, p.Path[0], p.Src))
-	}
-	p.Arrived = round
-	ctx.Stats().DeliveredReplies++
-	r.noteFinished(ctx, p)
-}
-
-func (r *router) noteFinished(ctx *engine.Ctx, p *packet.Packet) {
-	st := ctx.Stats()
-	st.TotalDelay += int64(p.Delay)
-	if s := p.Steps(); s > st.MaxPacketSteps {
-		st.MaxPacketSteps = s
-	}
-	if p.Arrived > st.Rounds {
-		st.Rounds = p.Arrived
+	if key, delivered := r.advance(ctx, p, to, round); !delivered {
+		ctx.Emit(key, p)
 	}
 }
 
