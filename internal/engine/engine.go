@@ -84,19 +84,18 @@ type Options struct {
 	// discipline of §2.2.1.
 	NewQueue func() queue.Discipline
 	// MaxKey declares that every key the run will Emit lies in
-	// [0, MaxKey). Simulators whose link encodings are dense by
+	// [0, MaxKey); Emit panics on a key outside it, whatever layout
+	// backs the run. Simulators whose link encodings are dense by
 	// construction (node*degree + slot) set it so each shard owns a
-	// slice-indexed queue table plus an incrementally maintained
-	// active-key list instead of a hash map — the allocation-free hot
-	// path. Zero, or a value beyond the engine's internal table-memory
-	// cap, selects the hashed fallback, which accepts arbitrary 64-bit
-	// keys. The two paths produce bit-identical results: insertion
-	// order is canonical either way, and per-round effects commute.
-	//
-	// Dense declarations up to flatKeyLimit get flat tables
-	// (StateDense); larger ones get paged tables (StatePaged), whose
-	// memory is bounded by touched keys. Zero selects the hashed
-	// fallback (StateHashed).
+	// slice-indexed queue table instead of a hash map — the
+	// allocation-free hot path. Declarations up to flatKeyLimit get
+	// flat tables (StateDense); larger ones get paged tables
+	// (StatePaged), whose memory is bounded by touched keys. Zero, a
+	// value beyond the paged cap, or a budget-degraded declaration
+	// selects the hashed fallback (StateHashed), which accepts
+	// arbitrary 64-bit keys. Every layout produces bit-identical
+	// results: insertion order is canonical, and per-round effects
+	// commute.
 	MaxKey uint64
 	// MemBudget, when positive, caps the fixed (up-front) link-table
 	// footprint in bytes: flat slots for StateDense, the page
@@ -151,8 +150,8 @@ type Ctx struct {
 	loads  map[int]int
 	rand   *prng.Source
 	mask   uint64
-	dense  bool
-	maxKey uint64
+	dense  bool        // shard by the key's low bits, not shardOf
+	maxKey uint64      // declared key bound; 0 declares none
 	shard  int         // owning shard index, for diagnostics
 	round  int         // round currently executing on this shard
 	out    [][]Arrival // next-round buffer, bucketed by destination shard
@@ -161,22 +160,20 @@ type Ctx struct {
 // Emit schedules p to enter the queue of link key next round (or this
 // round's push phase, when called during injection or a pop phase).
 // Arrivals are buffered double-buffer style and sorted by (key, packet
-// ID) before insertion, so emission order never matters. On a dense
-// engine a key outside the declared [0, MaxKey) range panics: it is a
-// simulator encoding bug that a hash map would silently absorb.
+// ID) before insertion, so emission order never matters. When the run
+// declared a MaxKey, a key outside [0, MaxKey) panics on every layout:
+// it is a simulator encoding bug that a hash map would silently absorb.
 func (c *Ctx) Emit(key uint64, p *packet.Packet) {
-	var s int
-	if c.dense {
-		if key >= c.maxKey {
-			pid := -1
-			if p != nil {
-				pid = p.ID
-			}
-			panic(fmt.Sprintf("engine: shard %d round %d packet %d: emitted key %d outside the declared dense key space [0, %d)",
-				c.shard, c.round, pid, key, c.maxKey))
+	if c.maxKey > 0 && key >= c.maxKey {
+		pid := -1
+		if p != nil {
+			pid = p.ID
 		}
-		s = int(key & c.mask)
-	} else {
+		panic(fmt.Sprintf("engine: shard %d round %d packet %d: emitted key %d outside the declared key space [0, %d)",
+			c.shard, c.round, pid, key, c.maxKey))
+	}
+	s := int(key & c.mask)
+	if !c.dense {
 		s = shardOf(key, c.mask)
 	}
 	c.out[s] = append(c.out[s], Arrival{key, p})
@@ -202,17 +199,16 @@ func (c *Ctx) AddLoad(node, delta int) {
 // that shapes the simulation belongs in per-packet streams.
 func (c *Ctx) Rand() *prng.Source { return c.rand }
 
-// shard owns a partition of the link queues: a slice-indexed table
-// plus active-key list on the dense path, a hash map on the fallback.
+// shard owns a partition of the link queues. Its link state is one of
+// three layouts — a flat table, a paged table or a hash map — and the
+// round loop reads it only through queue and setQueue; drain, push and
+// liveness all run on the active-key list, which every layout keeps.
 type shard struct {
 	ctx Ctx
-	// edges is the hashed-path link state (nil on the dense paths).
-	edges map[uint64]queue.Discipline
-	// table is the flat dense-path link state: the queue of key k
-	// lives at table[k>>shift], since the low shift bits select the
-	// shard.
+	// table is the flat (StateDense) layout: the queue of key k lives
+	// at table[k>>shift], since the low shift bits select the shard.
 	table []queue.Discipline
-	// pages is the paged dense-path link state: the queue of key k
+	// pages is the paged (StatePaged) layout: the queue of key k
 	// lives at pages[(k>>shift)>>pageBits][(k>>shift)&pageMask], with
 	// pages allocated on first touch so memory tracks touched keys,
 	// not the declared key space. pageCount counts allocated pages
@@ -224,20 +220,20 @@ type shard struct {
 	// first touch draws from it before the heap. Recycled pages are
 	// all-nil by the drain invariant, so reuse is bit-invisible.
 	pageFree []*[pageSize]queue.Discipline
-	// peakLive is the high-water live-queue count, the basis of the
-	// hashed path's TableBytes estimate.
-	peakLive int
+	// edges is the hashed (StateHashed) layout, keyed by link key.
+	edges map[uint64]queue.Discipline
 	// active lists the keys with non-empty queues, maintained
 	// incrementally (append on first insert, swap-remove on drain), so
-	// the drain phase iterates a compact slice instead of re-scanning.
+	// the drain phase iterates a compact slice instead of re-scanning
+	// and liveness is len(active).
 	active []uint64
-	// live counts non-empty queues on both paths, so Engine.Run never
-	// re-derives liveness from container sizes.
-	live    int
-	shift   uint
-	free    []queue.Discipline
-	inbox   []Arrival // push-phase gather buffer, reused every round
-	scratch []Arrival // radix-sort spare buffer, reused every round
+	// peakLive is the high-water len(active), the basis of the hashed
+	// layout's TableBytes estimate.
+	peakLive int
+	shift    uint
+	free     []queue.Discipline
+	inbox    []Arrival // push-phase gather buffer, reused every round
+	scratch  []Arrival // radix-sort spare buffer, reused every round
 }
 
 // Engine runs the synchronous round loop over sharded link state.
@@ -246,7 +242,6 @@ type Engine struct {
 	shards    []shard
 	mask      uint64
 	newQueue  func() queue.Discipline
-	dense     bool
 	state     State
 	degraded  bool
 	seed      uint64
@@ -338,7 +333,6 @@ func New(opts Options) *Engine {
 		shards:    make([]shard, nshards),
 		mask:      uint64(nshards - 1),
 		newQueue:  newQueue,
-		dense:     state != StateHashed,
 		state:     state,
 		degraded:  degraded,
 		seed:      opts.Seed,
@@ -385,7 +379,7 @@ func New(opts Options) *Engine {
 		sh.ctx = Ctx{
 			rand:   root.Split(uint64(i)),
 			mask:   e.mask,
-			dense:  e.dense,
+			dense:  state != StateHashed,
 			maxKey: opts.MaxKey,
 			shard:  i,
 			out:    make([][]Arrival, nshards),
@@ -434,10 +428,10 @@ func shardOf(key, mask uint64) int {
 // packets; combine, if non-nil, is offered each arrival before
 // insertion. Returns the folded statistics.
 //
-// A steady-state round on the dense path allocates nothing: link
-// tables, active lists, gather and sort buffers and recycled queues
-// all reach their high-water capacity during warm-up and are reused
-// thereafter (the zero-allocation invariant asserted by
+// A steady-state round allocates nothing on any layout: link tables,
+// pages, map buckets, active lists, gather and sort buffers and
+// recycled queues all reach their high-water capacity during warm-up
+// and are reused thereafter (the zero-allocation invariant asserted by
 // TestSteadyStateRoundIsAllocationFree).
 func (e *Engine) Run(inject func(ctx *Ctx), handle Handler, combine Combiner) Stats {
 	if e.event != nil {
@@ -453,7 +447,7 @@ func (e *Engine) Run(inject func(ctx *Ctx), handle Handler, combine Combiner) St
 		e.checkContext()
 		live := 0
 		for i := range e.shards {
-			live += e.shards[i].live
+			live += len(e.shards[i].active)
 		}
 		if live == 0 {
 			break
@@ -520,63 +514,25 @@ func (e *Engine) clearScratch() {
 
 // drain pops the head of every queue in the shard — one packet crosses
 // each link per round — accounts its queueing delay, and hands it to
-// the handler. Emptied queues are recycled. On the dense path the
-// iteration walks the compact active-key list with swap-removal;
-// every key present at entry is visited exactly once, because the
-// handler can only append to next-round buffers, never to this list.
+// the handler. Emptied queues are recycled. The iteration walks the
+// compact active-key list with swap-removal on every layout; every key
+// present at entry is visited exactly once, because the handler can
+// only append to next-round buffers, never to this list.
 func (sh *shard) drain(round int, handle Handler) {
 	sh.ctx.round = round
-	if sh.table != nil {
-		for i := 0; i < len(sh.active); {
-			key := sh.active[i]
-			idx := key >> sh.shift
-			q := sh.table[idx]
-			p := q.Pop()
-			p.Delay += round - p.EnqueuedAt - 1
-			if q.Len() == 0 {
-				sh.table[idx] = nil
-				sh.free = append(sh.free, q)
-				sh.live--
-				last := len(sh.active) - 1
-				sh.active[i] = sh.active[last]
-				sh.active = sh.active[:last]
-			} else {
-				i++
-			}
-			handle(&sh.ctx, Arrival{key, p}, round)
-		}
-		return
-	}
-	if sh.pages != nil {
-		for i := 0; i < len(sh.active); {
-			key := sh.active[i]
-			idx := key >> sh.shift
-			pg := sh.pages[idx>>pageBits]
-			slot := idx & pageMask
-			q := pg[slot]
-			p := q.Pop()
-			p.Delay += round - p.EnqueuedAt - 1
-			if q.Len() == 0 {
-				pg[slot] = nil
-				sh.free = append(sh.free, q)
-				sh.live--
-				last := len(sh.active) - 1
-				sh.active[i] = sh.active[last]
-				sh.active = sh.active[:last]
-			} else {
-				i++
-			}
-			handle(&sh.ctx, Arrival{key, p}, round)
-		}
-		return
-	}
-	for key, q := range sh.edges {
+	for i := 0; i < len(sh.active); {
+		key := sh.active[i]
+		q := sh.queue(key)
 		p := q.Pop()
 		p.Delay += round - p.EnqueuedAt - 1
 		if q.Len() == 0 {
-			delete(sh.edges, key)
+			sh.setQueue(key, nil)
 			sh.free = append(sh.free, q)
-			sh.live--
+			last := len(sh.active) - 1
+			sh.active[i] = sh.active[last]
+			sh.active = sh.active[:last]
+		} else {
+			i++
 		}
 		handle(&sh.ctx, Arrival{key, p}, round)
 	}
@@ -599,80 +555,67 @@ func (e *Engine) pushShard(s, round int, combine Combiner) {
 		src.out[s] = src.out[s][:0]
 	}
 	sorted, spare := SortArrivals(buf, sh.scratch)
-	if sh.table != nil {
-		for _, a := range sorted {
-			idx := a.Key >> sh.shift
-			q := sh.table[idx]
-			if combine != nil && q != nil && combine(&sh.ctx, q, a) {
-				continue
-			}
-			if q == nil {
-				q = sh.takeQueue(e)
-				sh.table[idx] = q
-				sh.active = append(sh.active, a.Key)
-				sh.live++
-			}
-			a.P.EnqueuedAt = round
-			q.Push(a.P)
-			if l := q.Len(); l > sh.ctx.stats.MaxQueue {
-				sh.ctx.stats.MaxQueue = l
-			}
+	for _, a := range sorted {
+		q := sh.queue(a.Key)
+		if combine != nil && q != nil && combine(&sh.ctx, q, a) {
+			continue
 		}
-	} else if sh.pages != nil {
-		for _, a := range sorted {
-			idx := a.Key >> sh.shift
-			pg := sh.pages[idx>>pageBits]
-			var q queue.Discipline
-			if pg != nil {
-				q = pg[idx&pageMask]
-			}
-			if combine != nil && q != nil && combine(&sh.ctx, q, a) {
-				continue
-			}
-			if q == nil {
-				// First touch of this page allocates it (recycling a
-				// leased page when one is free); combined-away
-				// arrivals above never reach here, so absorption alone
-				// costs no page. Pages are retained once allocated, so
-				// a warm steady-state round stays allocation-free.
-				if pg == nil {
-					pg = sh.takePage()
-					sh.pages[idx>>pageBits] = pg
-					sh.pageCount++
-				}
-				q = sh.takeQueue(e)
-				pg[idx&pageMask] = q
-				sh.active = append(sh.active, a.Key)
-				sh.live++
-			}
-			a.P.EnqueuedAt = round
-			q.Push(a.P)
-			if l := q.Len(); l > sh.ctx.stats.MaxQueue {
-				sh.ctx.stats.MaxQueue = l
-			}
+		if q == nil {
+			q = sh.takeQueue(e)
+			sh.setQueue(a.Key, q)
+			sh.active = append(sh.active, a.Key)
+			sh.peakLive = max(sh.peakLive, len(sh.active))
 		}
-	} else {
-		for _, a := range sorted {
-			q := sh.edges[a.Key]
-			if combine != nil && q != nil && combine(&sh.ctx, q, a) {
-				continue
-			}
-			if q == nil {
-				q = sh.takeQueue(e)
-				sh.edges[a.Key] = q
-				sh.live++
-				if sh.live > sh.peakLive {
-					sh.peakLive = sh.live
-				}
-			}
-			a.P.EnqueuedAt = round
-			q.Push(a.P)
-			if l := q.Len(); l > sh.ctx.stats.MaxQueue {
-				sh.ctx.stats.MaxQueue = l
-			}
+		a.P.EnqueuedAt = round
+		q.Push(a.P)
+		if l := q.Len(); l > sh.ctx.stats.MaxQueue {
+			sh.ctx.stats.MaxQueue = l
 		}
 	}
 	sh.inbox, sh.scratch = sorted[:0], spare[:0]
+}
+
+// queue returns the queue of link key, or nil when the link is empty.
+// It and setQueue are the only round-loop code that reads the layout.
+func (sh *shard) queue(key uint64) queue.Discipline {
+	idx := key >> sh.shift
+	switch {
+	case sh.table != nil:
+		return sh.table[idx]
+	case sh.pages != nil:
+		if pg := sh.pages[idx>>pageBits]; pg != nil {
+			return pg[idx&pageMask]
+		}
+		return nil
+	default:
+		return sh.edges[key]
+	}
+}
+
+// setQueue stores the queue of link key; nil marks the link empty.
+// A paged store allocates the key's page on first touch (recycling a
+// leased page when one is free). A nil store only ever empties a live
+// queue, whose page exists, so combined-away arrivals cost no page;
+// pages are retained once allocated, so a warm round stays
+// allocation-free.
+func (sh *shard) setQueue(key uint64, q queue.Discipline) {
+	idx := key >> sh.shift
+	switch {
+	case sh.table != nil:
+		sh.table[idx] = q
+	case sh.pages != nil:
+		pg := sh.pages[idx>>pageBits]
+		if pg == nil {
+			pg = sh.takePage()
+			sh.pages[idx>>pageBits] = pg
+			sh.pageCount++
+		}
+		pg[idx&pageMask] = q
+	case q == nil:
+		delete(sh.edges, key)
+	default:
+		sh.edges[key] = q
+	}
 }
 
 // takePage recycles a lease-harvested page or constructs a fresh one.

@@ -243,25 +243,40 @@ func TestPagedAllocatesOnlyTouchedPages(t *testing.T) {
 
 // TestDenseRejectsOutOfRangeKey pins the encoding-bug guard: emitting
 // a key at or beyond the declared MaxKey panics instead of corrupting
-// the table.
+// the table — also when a memory budget degrades the run to the hashed
+// layout, which would otherwise absorb the key silently.
 func TestDenseRejectsOutOfRangeKey(t *testing.T) {
-	eng := New(Options{Workers: 1, MaxKey: 8})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range key did not panic")
-		}
-	}()
-	eng.Run(func(ctx *Ctx) {
-		ctx.Emit(8, packet.New(0, 0, 0, packet.Transit))
-	}, func(ctx *Ctx, a Arrival, round int) {}, nil)
+	for _, c := range []struct {
+		name string
+		opts Options
+		want State
+	}{
+		{"flat", Options{Workers: 1, MaxKey: 8}, StateDense},
+		{"degraded", Options{Workers: 1, MaxKey: 8, MemBudget: 1}, StateHashed},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := New(c.opts)
+			if eng.State() != c.want {
+				t.Fatalf("state %v, want %v", eng.State(), c.want)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("out-of-range key did not panic")
+				}
+			}()
+			eng.Run(func(ctx *Ctx) {
+				ctx.Emit(8, packet.New(0, 0, 0, packet.Transit))
+			}, func(ctx *Ctx, a Arrival, round int) {}, nil)
+		})
+	}
 }
 
-// TestSteadyStateRoundIsAllocationFree asserts the PR's headline
-// invariant: once the dense engine's tables, buffers and recycled
+// TestSteadyStateRoundIsAllocationFree asserts the engine's
+// zero-allocation invariant: once the tables, buffers and recycled
 // queues are warm, an entire sequential Run — injection, every drain
-// and every radix push phase — performs zero heap allocations. The
-// paged tables preserve it: pages allocate on first touch and are
-// retained, so a warm run touches no allocator either.
+// and every radix push phase — performs zero heap allocations. Every
+// layout preserves it: pages allocate on first touch and are retained,
+// and the hashed layout's map keeps its grown buckets.
 func TestSteadyStateRoundIsAllocationFree(t *testing.T) {
 	const npkts, length = 64, 512
 	pkts := make([]*packet.Packet, npkts)
@@ -275,6 +290,7 @@ func TestSteadyStateRoundIsAllocationFree(t *testing.T) {
 	}{
 		{"flat", Options{Workers: 1, Seed: 7, MaxKey: length}, StateDense},
 		{"paged", Options{Workers: 1, Seed: 7, MaxKey: length, ForcePaged: true}, StatePaged},
+		{"hashed", Options{Workers: 1, Seed: 7, MaxKey: length, MemBudget: 1}, StateHashed},
 	} {
 		eng := New(c.opts)
 		inject := func(ctx *Ctx) {

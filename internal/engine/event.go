@@ -239,9 +239,10 @@ const eventIndexBytes = 4
 // canonical (key, packet ID) order, exactly as the round engine's push
 // phase is. Deliveries, retransmissions and wakes touch only their own
 // packet, their own link and commutative counters — the handler
-// contract the round engine's drain already relies on, since its
-// hashed path drains in map order — so they run in list order. The
-// result is the one a total (time, kind, key, packet ID) order gives.
+// contract the round engine's drain already relies on, since it walks
+// each shard's active-key list in swap-removal order — so they run in
+// list order. The result is the one a total (time, kind, key, packet
+// ID) order gives.
 type eventLoop struct {
 	e    *Engine
 	o    EventOptions

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"pramemu/internal/queue"
@@ -106,17 +107,21 @@ func (e *Engine) releaseLease() {
 // LeasePool recycles Leases across independent runs, keyed by an
 // opaque caller-chosen shape string (the scenario layer derives it
 // from the cell axes that determine engine shape). Get never blocks:
-// an empty slot hands out a fresh unstocked Lease, which the first
-// run fills. The pool bounds how many idle leases it retains; on
-// overflow the oldest idle lease is dropped to the garbage collector,
-// so a long-running daemon's lease memory stays proportional to its
-// concurrency, not its history of cell shapes.
+// when no idle lease has the key it hands out a fresh unstocked Lease,
+// which the first run fills. The pool retains at most limit idle
+// leases, oldest first; a Put into a full pool drops the oldest idle
+// lease to the garbage collector, so a long-running daemon's lease
+// memory stays proportional to its concurrency, not its history of
+// cell shapes.
 type LeasePool struct {
 	mu    sync.Mutex
 	limit int
-	count int
-	free  map[string][]*Lease
-	order []string
+	idle  []idleLease // oldest first
+}
+
+type idleLease struct {
+	key   string
+	lease *Lease
 }
 
 // NewLeasePool returns a pool retaining at most limit idle leases;
@@ -126,45 +131,34 @@ func NewLeasePool(limit int) *LeasePool {
 	if limit <= 0 {
 		limit = 2 * runtime.GOMAXPROCS(0)
 	}
-	return &LeasePool{limit: limit, free: map[string][]*Lease{}}
+	return &LeasePool{limit: limit}
 }
 
-// Get checks out a lease for the given shape key, or a fresh empty
-// lease when none is idle.
+// Get checks out the newest idle lease for the given shape key, or a
+// fresh empty lease when none is idle.
 func (p *LeasePool) Get(key string) *Lease {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if s := p.free[key]; len(s) > 0 {
-		l := s[len(s)-1]
-		s[len(s)-1] = nil
-		p.free[key] = s[:len(s)-1]
-		p.count--
-		return l
+	for i := len(p.idle) - 1; i >= 0; i-- {
+		if p.idle[i].key == key {
+			l := p.idle[i].lease
+			p.idle = slices.Delete(p.idle, i, i+1)
+			return l
+		}
 	}
 	return &Lease{}
 }
 
-// Put returns a lease to the pool under its shape key. Over the
-// retention limit, the oldest idle lease is dropped first.
+// Put returns a lease to the pool under its shape key. A full pool
+// drops its oldest idle lease first.
 func (p *LeasePool) Put(key string, l *Lease) {
 	if l == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for p.count >= p.limit && len(p.order) > 0 {
-		k := p.order[0]
-		p.order = p.order[1:]
-		if s := p.free[k]; len(s) > 0 {
-			s[len(s)-1] = nil
-			p.free[k] = s[:len(s)-1]
-			p.count--
-		}
+	if len(p.idle) >= p.limit {
+		p.idle = slices.Delete(p.idle, 0, 1)
 	}
-	if p.count >= p.limit {
-		return
-	}
-	p.free[key] = append(p.free[key], l)
-	p.order = append(p.order, key)
-	p.count++
+	p.idle = append(p.idle, idleLease{key, l})
 }

@@ -186,3 +186,31 @@ func TestLeasePoolRecyclesByKey(t *testing.T) {
 	}
 	p.Put("kd", nil) // nil-safe
 }
+
+// TestLeasePoolStaysBounded: steady Get/Put cycles under the limit
+// keep at most limit idle entries, and a Put past the limit evicts the
+// oldest idle lease, not the newest lease of some older key.
+func TestLeasePoolStaysBounded(t *testing.T) {
+	p := NewLeasePool(4)
+	for i := 0; i < 10000; i++ {
+		p.Put("k", p.Get("k"))
+	}
+	if n := len(p.idle); n > 4 {
+		t.Fatalf("10000 Get/Put cycles left %d idle entries, want <= 4", n)
+	}
+
+	p = NewLeasePool(2)
+	older, newer, other := &Lease{}, &Lease{}, &Lease{}
+	p.Put("ka", older)
+	p.Put("ka", newer)
+	p.Put("kb", other) // full: older, the oldest idle lease, goes
+	if got := p.Get("ka"); got != newer {
+		t.Fatal("a Put past the limit did not keep the newer lease")
+	}
+	if got := p.Get("ka"); got == older {
+		t.Fatal("a Put past the limit kept the oldest lease")
+	}
+	if got := p.Get("kb"); got != other {
+		t.Fatal("the just-Put lease is gone")
+	}
+}
