@@ -425,8 +425,8 @@ func BenchmarkE13ParallelEngine(b *testing.B) {
 
 // BenchmarkE15EngineHotPath — the flat-state round engine PR: the
 // same large-n configurations priced on the dense slice-table path
-// and on the hashed-map fallback (forced by a one-byte MemBudget, as
-// an over-budget run degrades), with Workers: 1
+// and on the hashed link-index fallback (forced by a one-byte
+// MemBudget, as an over-budget run degrades), with Workers: 1
 // so the metrics isolate the data plane. ns/round, B/round and
 // allocs/round are per simulated round across all trials; packets
 // come from one slab arena recycled per trial. The residual B/round

@@ -162,7 +162,7 @@ func (e *Emulator) routeRequests(reqs []pram.Request) (RouteStats, int) {
 			// A compute-only step still costs one unit of time.
 			return RouteStats{}, cost + 1
 		}
-		if load := e.maxAddrLoad(reqs); load > e.threshold {
+		if load := e.maxAddrLoad(pkts); load > e.threshold {
 			// Lemma 2.2's bad event: some module drew more than cL of
 			// the step's addresses. Draw a new hash function and remap
 			// the whole memory (charged below), then retry.
@@ -216,24 +216,21 @@ func (e *Emulator) buildPackets(reqs []pram.Request) (pkts []*packet.Packet, rea
 }
 
 // maxAddrLoad returns the largest number of distinct step addresses
-// hashed to one module — the quantity Lemma 2.2 bounds.
-func (e *Emulator) maxAddrLoad(reqs []pram.Request) int {
-	h := e.hash.Current()
-	perModule := make(map[int]map[uint64]struct{})
+// hashed to one module — the quantity Lemma 2.2 bounds. It reads each
+// address's module from its packet's Dst, so every address is hashed
+// once per attempt, by buildPackets.
+func (e *Emulator) maxAddrLoad(pkts []*packet.Packet) int {
+	seen := make(map[uint64]struct{}, len(pkts))
+	perModule := make([]int, e.net.Nodes())
 	max := 0
-	for _, req := range reqs {
-		if req.Op == pram.OpNone {
+	for _, p := range pkts {
+		if _, dup := seen[p.Addr]; dup {
 			continue
 		}
-		mod := h.Hash(req.Addr)
-		set := perModule[mod]
-		if set == nil {
-			set = make(map[uint64]struct{})
-			perModule[mod] = set
-		}
-		set[req.Addr] = struct{}{}
-		if len(set) > max {
-			max = len(set)
+		seen[p.Addr] = struct{}{}
+		perModule[p.Dst]++
+		if perModule[p.Dst] > max {
+			max = perModule[p.Dst]
 		}
 	}
 	return max

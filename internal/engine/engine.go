@@ -87,7 +87,7 @@ type Options struct {
 	// [0, MaxKey); Emit panics on a key outside it, whatever layout
 	// backs the run. Simulators whose link encodings are dense by
 	// construction (node*degree + slot) set it so each shard owns a
-	// slice-indexed queue table instead of a hash map — the
+	// slice-indexed queue table instead of a hashed index — the
 	// allocation-free hot path. Declarations up to flatKeyLimit get
 	// flat tables (StateDense); larger ones get paged tables
 	// (StatePaged), whose memory is bounded by touched keys. Zero, a
@@ -162,7 +162,7 @@ type Ctx struct {
 // Arrivals are buffered double-buffer style and sorted by (key, packet
 // ID) before insertion, so emission order never matters. When the run
 // declared a MaxKey, a key outside [0, MaxKey) panics on every layout:
-// it is a simulator encoding bug that a hash map would silently absorb.
+// it is a simulator encoding bug that a hashed index would silently absorb.
 func (c *Ctx) Emit(key uint64, p *packet.Packet) {
 	if c.maxKey > 0 && key >= c.maxKey {
 		pid := -1
@@ -200,7 +200,7 @@ func (c *Ctx) AddLoad(node, delta int) {
 func (c *Ctx) Rand() *prng.Source { return c.rand }
 
 // shard owns a partition of the link queues. Its link state is one of
-// three layouts — a flat table, a paged table or a hash map — and the
+// three layouts — a flat table, a paged table or a hashed index — and the
 // round loop reads it only through queue and setQueue; drain, push and
 // liveness all run on the active-key list, which every layout keeps.
 type shard struct {
@@ -220,8 +220,9 @@ type shard struct {
 	// first touch draws from it before the heap. Recycled pages are
 	// all-nil by the drain invariant, so reuse is bit-invisible.
 	pageFree []*[pageSize]queue.Discipline
-	// edges is the hashed (StateHashed) layout, keyed by link key.
-	edges map[uint64]queue.Discipline
+	// links is the hashed (StateHashed) layout, an open-addressed
+	// index keyed by link key (see linkIndex).
+	links linkIndex
 	// active lists the keys with non-empty queues, maintained
 	// incrementally (append on first insert, swap-remove on drain), so
 	// the drain phase iterates a compact slice instead of re-scanning
@@ -374,7 +375,7 @@ func New(opts Options) *Engine {
 			}
 			sh.shift = shift
 		default:
-			sh.edges = make(map[uint64]queue.Discipline)
+			sh.links = newLinkIndex()
 		}
 		sh.ctx = Ctx{
 			rand:   root.Split(uint64(i)),
@@ -429,7 +430,7 @@ func shardOf(key, mask uint64) int {
 // insertion. Returns the folded statistics.
 //
 // A steady-state round allocates nothing on any layout: link tables,
-// pages, map buckets, active lists, gather and sort buffers and
+// pages, link-index slots, active lists, gather and sort buffers and
 // recycled queues all reach their high-water capacity during warm-up
 // and are reused thereafter (the zero-allocation invariant asserted by
 // TestSteadyStateRoundIsAllocationFree).
@@ -588,7 +589,7 @@ func (sh *shard) queue(key uint64) queue.Discipline {
 		}
 		return nil
 	default:
-		return sh.edges[key]
+		return sh.links.get(key)
 	}
 }
 
@@ -612,9 +613,9 @@ func (sh *shard) setQueue(key uint64, q queue.Discipline) {
 		}
 		pg[idx&pageMask] = q
 	case q == nil:
-		delete(sh.edges, key)
+		sh.links.del(key)
 	default:
-		sh.edges[key] = q
+		sh.links.put(key, q)
 	}
 }
 

@@ -276,7 +276,7 @@ func TestDenseRejectsOutOfRangeKey(t *testing.T) {
 // queues are warm, an entire sequential Run — injection, every drain
 // and every radix push phase — performs zero heap allocations. Every
 // layout preserves it: pages allocate on first touch and are retained,
-// and the hashed layout's map keeps its grown buckets.
+// and the hashed layout's link index keeps its grown slots.
 func TestSteadyStateRoundIsAllocationFree(t *testing.T) {
 	const npkts, length = 64, 512
 	pkts := make([]*packet.Packet, npkts)

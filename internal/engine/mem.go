@@ -9,9 +9,10 @@ package engine
 type State uint8
 
 const (
-	// StateHashed backs link queues with a per-shard hash map. It
-	// accepts arbitrary 64-bit keys and pays only for live keys, at the
-	// cost of map overhead on every queue access.
+	// StateHashed backs link queues with a per-shard open-addressed
+	// link index (linkIndex). It accepts arbitrary 64-bit keys and pays
+	// only for live keys, at the cost of a hash and a probe on every
+	// queue access.
 	StateHashed State = iota
 	// StateDense backs link queues with flat per-shard slices sized to
 	// the declared key space up front — the fastest path, selected when
@@ -50,8 +51,9 @@ type MemStats struct {
 	Degraded bool
 	// TableBytes is the link-table footprint: exact slot bytes for the
 	// dense and paged states (flat slots, or directory plus touched
-	// pages), and an estimate from the peak live-key count for the
-	// hashed state (map internals are not directly measurable).
+	// pages), and for the hashed state a fixed floor charge of
+	// hashedEntryBytes per peak live key — not a measurement of the
+	// link index, which costs more (see hashedEntryBytes).
 	TableBytes int64
 	// ArenaBytes is the packet-arena footprint, when the caller
 	// supplied one (zero otherwise).
@@ -62,9 +64,13 @@ type MemStats struct {
 // queue.Discipline interface value, two words.
 const queueSlotBytes = 16
 
-// hashedEntryBytes is the assumed per-live-key cost of the hashed
-// path's map entries (key + interface value + bucket overhead), used
-// only to estimate TableBytes for StateHashed.
+// hashedEntryBytes is the per-live-key cost charged to StateHashed's
+// TableBytes (peakLive × hashedEntryBytes). It was sized for the Go
+// map the link index replaced and is kept unchanged so the table_bytes
+// and b_per_node columns of recorded artifacts stay byte-identical.
+// It is a floor, not an estimate of the index: 24 bytes per slot at
+// load between 1/4 and 1/2 is 48 to 96 bytes per peak live key, and
+// the index never shrinks.
 const hashedEntryBytes = 48
 
 // MemStats reports the engine's resolved state and link-table

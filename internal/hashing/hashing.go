@@ -16,6 +16,7 @@ package hashing
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pramemu/internal/mathx"
 	"pramemu/internal/prng"
@@ -73,7 +74,11 @@ func (f *Func) Hash(x uint64) int {
 	p := f.class.P
 	acc := uint64(0)
 	for _, a := range f.coeffs {
-		acc = mathx.AddMod(mathx.MulMod(acc, x, p), a, p)
+		// acc, x and a are all below p, so the 128-bit acc*x + a is
+		// below p^2 and its high word below p: one exact division.
+		hi, lo := bits.Mul64(acc, x)
+		lo, c := bits.Add64(lo, a, 0)
+		_, acc = bits.Div64(hi+c, lo, p)
 	}
 	return int(acc % uint64(f.class.N))
 }
@@ -94,9 +99,10 @@ func (f *Func) MaxLoad(addrs []uint64) int {
 	loads := make(map[int]int)
 	max := 0
 	for _, a := range addrs {
-		loads[f.Hash(a)]++
-		if loads[f.Hash(a)] > max {
-			max = loads[f.Hash(a)]
+		m := f.Hash(a)
+		loads[m]++
+		if loads[m] > max {
+			max = loads[m]
 		}
 	}
 	return max

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pramemu/internal/mathx"
 	"pramemu/internal/prng"
 )
 
@@ -182,6 +183,49 @@ func TestDegreeOneIsLinear(t *testing.T) {
 	for x := uint64(1); x < 100; x++ {
 		if f.Hash(x) != first {
 			t.Fatal("degree-1 class must be constant functions")
+		}
+	}
+}
+
+// genericHash is the reference evaluation: Horner's rule through
+// overflow-free MulMod/AddMod, valid for any P.
+func genericHash(f *Func, x uint64) int {
+	p := f.class.P
+	acc := uint64(0)
+	for _, a := range f.coeffs {
+		acc = mathx.AddMod(mathx.MulMod(acc, x, p), a, p)
+	}
+	return int(acc % uint64(f.class.N))
+}
+
+// TestHashMatchesGeneric checks Hash's one-division Horner step against
+// the MulMod/AddMod reference where the 128-bit intermediate is
+// tightest: P just below 2^32, where acc*x + a nears 2^64, and one
+// class with P above 2^32, where the high word is non-zero.
+func TestHashMatchesGeneric(t *testing.T) {
+	src := prng.New(11)
+	if p := NewClass(1<<32-5, 1, 1).P; p != 1<<32-5 {
+		t.Fatalf("NextPrime(2^32-5) = %d; the test expects P just below 2^32", p)
+	}
+	for _, c := range []*Class{
+		NewClass(1<<32-5, 5040, 18), // P = 2^32-5, the largest prime below 2^32
+		NewClass(1<<32-100, 4096, 24),
+		NewClass(1<<31, 1000, 9),
+		NewClass(1<<20, 64, 2),
+		NewClass(1<<40, 2048, 12), // P > 2^32
+		NewClass(1<<62, 4096, 8),
+	} {
+		for d := 0; d < 4; d++ {
+			f := c.Draw(src)
+			xs := []uint64{0, 1, c.P - 2, c.P - 1}
+			for i := 0; i < 2000; i++ {
+				xs = append(xs, src.Uint64n(c.P))
+			}
+			for _, x := range xs {
+				if got, want := f.Hash(x), genericHash(f, x); got != want {
+					t.Fatalf("P=%d: Hash(%d) = %d, reference gives %d", c.P, x, got, want)
+				}
+			}
 		}
 	}
 }

@@ -90,7 +90,7 @@ func Route(spec Spec, pkts []*packet.Packet, opts Options) Stats {
 		r.logical = spec.Levels()
 	}
 	// Reply-free runs declare the dense forward key space so the
-	// engine swaps its hash maps for slice-indexed tables; replies
+	// engine swaps its hashed link index for slice-indexed tables; replies
 	// live under reverseBit, outside any declarable range.
 	var maxKey uint64
 	if !opts.Replies {
