@@ -679,7 +679,8 @@ func BenchmarkE14CrossFamily(b *testing.B) {
 // BenchmarkE19ScaleCeiling — the paged-tables/64-bit-key PR: the E19
 // A/B rungs (quick sizes; the full 16.7M-node ladder lives in the
 // table, not a benchmark loop), each priced once on the flat dense
-// tables and once on the forced paged path. Identical rounds by
+// tables and once under experiments.E19PagedBudget, which steps them
+// down to paged tables. Identical rounds by
 // construction — the engine guarantees bit-identical routing across
 // table states — so the comparison isolates the paged directory's
 // cost: tableB and B/node price the footprint, ns/op the indirection.
@@ -690,19 +691,19 @@ func BenchmarkE19ScaleCeiling(b *testing.B) {
 		if err != nil {
 			b.Fatalf("%s: %v", ref.Family, err)
 		}
-		for _, paged := range []struct {
-			name  string
-			force bool
-		}{{"dense", false}, {"paged", true}} {
+		for _, layout := range []struct {
+			state  string
+			budget int64
+		}{{"dense", 0}, {"paged", experiments.E19PagedBudget}} {
 			cell := scenario.Cell{
-				Topo:    ref,
-				Work:    scenario.WorkRef{Name: "perm"},
-				Built:   bt, // reuse the built graph so ns/op prices routing, not construction
-				Workers: 1,
-				Trials:  1,
-				Paged:   paged.force,
+				Topo:      ref,
+				Work:      scenario.WorkRef{Name: "perm"},
+				Built:     bt, // reuse the built graph so ns/op prices routing, not construction
+				Workers:   1,
+				Trials:    1,
+				MemBudget: layout.budget,
 			}
-			b.Run(fmt.Sprintf("%s%d/%s", ref.Family, bt.Nodes(), paged.name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s%d/%s", ref.Family, bt.Nodes(), layout.state), func(b *testing.B) {
 				rounds, diam := 0, 1
 				var last scenario.Result
 				for i := 0; i < b.N; i++ {
@@ -710,6 +711,9 @@ func BenchmarkE19ScaleCeiling(b *testing.B) {
 					res, err := scenario.RunCell(cell)
 					if err != nil {
 						b.Fatal(err)
+					}
+					if res.State != layout.state {
+						b.Fatalf("resolved %s tables, want %s", res.State, layout.state)
 					}
 					rounds += res.RoundsMax
 					diam = res.Diameter

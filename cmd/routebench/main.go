@@ -14,14 +14,15 @@
 // discrete-event engine instead of synchronous rounds, with the link
 // latency model (-latency/-base/-jitter/-lscale/-gap) and fault axes
 // (-linkfail/-repair, -straggler/-stragglerx, -drop/-rto) dialed in
-// from the command line. The engine's link-table layout has its own
-// knobs: -paged forces the paged dense tables (the layout key spaces
-// beyond 2^24 get automatically — million-node graphs route in one
-// invocation), -membudget caps the fixed table footprint in bytes
-// (over-budget layouts degrade to the hashed fallback instead of
-// erroring, so -membudget 1 forces it), and -memstats prints the
-// resolved state and table/arena/B-per-node footprint after the
-// report line (-json always carries the same fields). With -sweep it
+// from the command line. The engine picks the link-table layout
+// itself — flat dense tables, or paged ones for key spaces beyond
+// 2^24, so million-node graphs route in one invocation — and
+// -membudget is its one knob: it caps the fixed table footprint in
+// bytes, and an over-budget layout steps down (flat → paged → hashed)
+// instead of erroring, so a budget between the page directory and the
+// flat table selects paged and -membudget 1 selects hashed. -memstats
+// prints the resolved state and table/arena/B-per-node footprint after
+// the report line (-json always carries the same fields). With -sweep it
 // instead executes a declarative scenario spec — the cross-product
 // of topology × workload × discipline × emulation-mode × engine ×
 // fault × ablation × engine-workers axes — in parallel over a worker
@@ -78,8 +79,8 @@
 //	routebench -net star -n 6 -workload perm -engine event -latency jitter -jitter 3
 //	routebench -net torus -n 8 -k 2 -workload perm -engine event -drop 0.1 -straggler 0.2
 //	routebench -net debruijn -n 24 -k 2 -workload perm -trials 1 -memstats
-//	routebench -net debruijn -n 20 -k 2 -workload perm -trials 1 -paged -memstats
 //	routebench -net debruijn -n 20 -k 2 -workload perm -trials 1 -membudget 1048576 -memstats
+//	routebench -net debruijn -n 20 -k 2 -workload perm -trials 1 -membudget 1 -memstats
 //	routebench -sweep sweeps/smoke.json
 //	routebench -sweep sweeps/scale.json
 //	routebench -sweep sweeps/emul.json -report
@@ -132,7 +133,6 @@ type config struct {
 	jsonOut    bool
 	workers    int
 	list       bool
-	paged      bool
 	memBudget  int64
 	memStats   bool
 	sweep      string
@@ -185,8 +185,7 @@ func main() {
 	flag.BoolVar(&cfg.jsonOut, "json", false, "emit one JSON object instead of the report line (for BENCH_*.json artifacts)")
 	flag.IntVar(&cfg.workers, "workers", 0, "round-engine workers (0 = GOMAXPROCS, 1 = sequential; identical results either way)")
 	flag.BoolVar(&cfg.list, "list", false, "list the registered network families and workload generators, then exit")
-	flag.BoolVar(&cfg.paged, "paged", false, "force the engine's paged dense tables even on small key spaces (identical results; for A/B profiling)")
-	flag.Int64Var(&cfg.memBudget, "membudget", 0, "cap the engine's fixed link-table footprint in bytes; over-budget dense/paged runs degrade to the hashed fallback (0 = no budget; 1 forces the fallback, identical results, for A/B profiling)")
+	flag.Int64Var(&cfg.memBudget, "membudget", 0, "cap the engine's fixed link-table footprint in bytes; an over-budget layout steps down flat -> paged -> hashed (0 = no budget; 1 selects hashed; identical results, for A/B profiling)")
 	flag.BoolVar(&cfg.memStats, "memstats", false, "append the memory line (resolved state, table/arena bytes, B/node) to the report")
 	flag.StringVar(&cfg.sweep, "sweep", "", "run the scenario sweep spec from this JSON file ('-' = stdin) and emit JSONL")
 	flag.BoolVar(&cfg.report, "report", false, "with -sweep: append the derived report rows (workers-axis speedups, per-class aggregates) after the result lines")
@@ -296,7 +295,6 @@ func cell(cfg config) scenario.Cell {
 		Trials:     cfg.trials,
 		Seed:       cfg.seed,
 		SkipPhase1: cfg.skipPhase1,
-		Paged:      cfg.paged,
 		MemBudget:  cfg.memBudget,
 		Timing:     true,
 	}

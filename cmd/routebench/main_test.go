@@ -670,34 +670,40 @@ func TestRunWritesProfiles(t *testing.T) {
 	}
 }
 
-// TestRunHashedMatchesDense pins the link-state A/B knobs: -paged and
-// a one-byte -membudget (which degrades to the hashed fallback) must
-// report the same rounds as the dense default on a fixed seed.
+// starPagedBudget steps star n=4 (24 nodes × 3 links) at one worker
+// from flat tables (72 × 16 B) down to paged ones (one 8 B page
+// directory entry).
+const starPagedBudget = 64
+
+// TestRunHashedMatchesDense pins the link-state A/B knob: a -membudget
+// that lands paged and a one-byte one (which falls through to the
+// hashed fallback) must report the same rounds as the dense default on
+// a fixed seed.
 func TestRunHashedMatchesDense(t *testing.T) {
-	out := func(memBudget int64, paged bool) string {
+	out := func(memBudget int64) string {
 		var b strings.Builder
-		cfg := config{net: "star", n: 4, workload: "perm", trials: 2, seed: 7, memBudget: memBudget, paged: paged}
+		cfg := config{net: "star", n: 4, workload: "perm", trials: 2, seed: 7, workers: 1, memBudget: memBudget}
 		if err := run(&b, cfg); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
 	}
-	dense := out(0, false)
-	if hashed := out(1, false); dense != hashed {
+	dense := out(0)
+	if hashed := out(1); dense != hashed {
 		t.Fatalf("dense and hashed reports differ:\n%s%s", dense, hashed)
 	}
-	if paged := out(0, true); dense != paged {
+	if paged := out(starPagedBudget); dense != paged {
 		t.Fatalf("dense and paged reports differ:\n%s%s", dense, paged)
 	}
 }
 
-// TestRunMemStatsFlags drives the -memstats/-paged/-membudget trio
-// through the testable core: the memory line names the resolved state,
-// the JSON object carries the pricing fields, and an impossible budget
-// degrades to the hashed fallback instead of erroring.
+// TestRunMemStatsFlags drives the -memstats/-membudget pair through
+// the testable core: the memory line names the resolved state, the
+// JSON object carries the pricing fields, and a budget steps down the
+// flat → paged → hashed ladder instead of erroring.
 func TestRunMemStatsFlags(t *testing.T) {
 	var b strings.Builder
-	cfg := config{net: "star", n: 4, workload: "perm", trials: 1, seed: 7, memStats: true}
+	cfg := config{net: "star", n: 4, workload: "perm", trials: 1, seed: 7, workers: 1, memStats: true}
 	if err := run(&b, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -705,15 +711,14 @@ func TestRunMemStatsFlags(t *testing.T) {
 		t.Fatalf("missing dense memory line in %q", b.String())
 	}
 	b.Reset()
-	cfg.paged = true
+	cfg.memBudget = starPagedBudget // the directory fits, the flat table does not
 	if err := run(&b, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "memory: state=paged") {
-		t.Fatalf("missing paged memory line in %q", b.String())
+	if !strings.Contains(b.String(), "memory: state=paged") || !strings.Contains(b.String(), "degraded(over budget)") {
+		t.Fatalf("missing degraded paged memory line in %q", b.String())
 	}
 	b.Reset()
-	cfg.paged = false
 	cfg.memBudget = 1 // no table fits one byte: degrade, don't error
 	if err := run(&b, cfg); err != nil {
 		t.Fatal(err)
@@ -722,7 +727,7 @@ func TestRunMemStatsFlags(t *testing.T) {
 		t.Fatalf("missing degraded memory line in %q", b.String())
 	}
 	b.Reset()
-	jcfg := config{net: "star", n: 4, workload: "perm", trials: 1, seed: 7, paged: true, jsonOut: true}
+	jcfg := config{net: "star", n: 4, workload: "perm", trials: 1, seed: 7, workers: 1, memBudget: starPagedBudget, jsonOut: true}
 	if err := run(&b, jcfg); err != nil {
 		t.Fatal(err)
 	}
@@ -730,7 +735,7 @@ func TestRunMemStatsFlags(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &res); err != nil {
 		t.Fatalf("memstats JSON malformed: %v\n%s", err, b.String())
 	}
-	if res.State != "paged" || !res.Paged || res.TableBytes <= 0 || res.ArenaBytes <= 0 || res.BPerNode <= 0 {
+	if res.State != "paged" || !res.Degraded || res.TableBytes <= 0 || res.ArenaBytes <= 0 || res.BPerNode <= 0 {
 		t.Fatalf("unexpected memory fields: %+v", res)
 	}
 	// Event cells price time, not table memory: the line says so

@@ -325,40 +325,50 @@ func TestWorkerEquivalenceDenseHashed(t *testing.T) {
 	}
 }
 
-// pagedCase routes one reply-free workload with the full three-way
-// storage selector: flat dense tables (the small-key default), the
-// paged directory (the million-node path) and the hashed-map
-// fallback.
+// pagedBudget steps every paged case from flat down to paged tables
+// at any shard count: it covers a page directory of up to 64 shards ×
+// 8 B, but no flat table (each case declares at least 480 link keys ×
+// 16 B).
+const pagedBudget = 512
+
+// pagedCase routes one reply-free workload under a memory budget —
+// the one selector of the three link-table states: none keeps the flat
+// dense tables (the small-key default), pagedBudget steps down to the
+// paged directory (the million-node path) and one byte to the hashed
+// fallback. It returns the state the engine resolved.
 type pagedCase struct {
 	name string
-	run  func(seed uint64, workers int, paged, hashed bool) (any, []ptrace)
+	run  func(seed uint64, workers int, budget int64) (any, []ptrace, engine.State)
 }
 
 func pagedCases() []pagedCase {
 	return []pagedCase{
-		{"star5-direct", func(seed uint64, workers int, paged, hashed bool) (any, []ptrace) {
+		{"star5-direct", func(seed uint64, workers int, budget int64) (any, []ptrace, engine.State) {
 			g := star.New(5)
 			pkts := workload.Permutation(g.Nodes(), packet.Transit, seed)
+			var ms engine.MemStats
 			st := mustSimRoute(g, pkts, simnet.Options{
-				Seed: seed * 31, Workers: workers, PagedKeys: paged, MemBudget: hashedBudget(hashed),
+				Seed: seed * 31, Workers: workers, MemBudget: budget, MemStats: &ms,
 			})
-			return st, tracesOf(pkts)
+			return st, tracesOf(pkts), ms.State
 		}},
-		{"butterfly7-leveled", func(seed uint64, workers int, paged, hashed bool) (any, []ptrace) {
+		{"butterfly7-leveled", func(seed uint64, workers int, budget int64) (any, []ptrace, engine.State) {
 			spec := leveled.NewButterfly(7)
 			pkts := workload.Permutation(spec.Width(), packet.Transit, seed)
+			var ms engine.MemStats
 			st := leveled.Route(spec, pkts, leveled.Options{
-				Seed: seed * 31, Workers: workers, PagedKeys: paged, MemBudget: hashedBudget(hashed),
+				Seed: seed * 31, Workers: workers, MemBudget: budget, MemStats: &ms,
 			})
-			return st, tracesOf(pkts)
+			return st, tracesOf(pkts), ms.State
 		}},
-		{"mesh16", func(seed uint64, workers int, paged, hashed bool) (any, []ptrace) {
+		{"mesh16", func(seed uint64, workers int, budget int64) (any, []ptrace, engine.State) {
 			g := mesh.New(16)
 			pkts := workload.Permutation(g.Nodes(), packet.Transit, seed)
+			var ms engine.MemStats
 			st := mesh.Route(g, pkts, mesh.Options{
-				Seed: seed * 31, Workers: workers, PagedKeys: paged, MemBudget: hashedBudget(hashed),
+				Seed: seed * 31, Workers: workers, MemBudget: budget, MemStats: &ms,
 			})
-			return st, tracesOf(pkts)
+			return st, tracesOf(pkts), ms.State
 		}},
 	}
 }
@@ -381,20 +391,33 @@ func TestWorkerEquivalencePagedDenseHashed(t *testing.T) {
 	for _, c := range pagedCases() {
 		t.Run(c.name, func(t *testing.T) {
 			for _, seed := range seeds {
-				wantStats, wantTraces := c.run(seed, 1, false, false)
+				wantStats, wantTraces, state := c.run(seed, 1, 0)
+				if state != engine.StateDense {
+					t.Fatalf("seed %d: unbudgeted run resolved %v, want dense", seed, state)
+				}
 				for _, v := range []struct {
-					workers       int
-					paged, hashed bool
-				}{{1, true, false}, {4, true, false}, {0, true, false}, {4, false, true}} {
-					gotStats, gotTraces := c.run(seed, v.workers, v.paged, v.hashed)
+					workers int
+					budget  int64
+					want    engine.State
+				}{
+					{1, pagedBudget, engine.StatePaged},
+					{4, pagedBudget, engine.StatePaged},
+					{0, pagedBudget, engine.StatePaged},
+					{4, 1, engine.StateHashed},
+				} {
+					gotStats, gotTraces, state := c.run(seed, v.workers, v.budget)
+					if state != v.want {
+						t.Fatalf("seed %d: workers=%d budget=%d resolved %v, want %v",
+							seed, v.workers, v.budget, state, v.want)
+					}
 					if gotStats != wantStats {
-						t.Fatalf("seed %d: workers=%d paged=%v hashed=%v stats diverged from dense workers=1:\nwant: %+v\ngot:  %+v",
-							seed, v.workers, v.paged, v.hashed, wantStats, gotStats)
+						t.Fatalf("seed %d: workers=%d %v stats diverged from dense workers=1:\nwant: %+v\ngot:  %+v",
+							seed, v.workers, state, wantStats, gotStats)
 					}
 					for i := range wantTraces {
 						if gotTraces[i] != wantTraces[i] {
-							t.Fatalf("seed %d: workers=%d paged=%v hashed=%v packet %d trace diverged:\nwant: %+v\ngot:  %+v",
-								seed, v.workers, v.paged, v.hashed, i, wantTraces[i], gotTraces[i])
+							t.Fatalf("seed %d: workers=%d %v packet %d trace diverged:\nwant: %+v\ngot:  %+v",
+								seed, v.workers, state, i, wantTraces[i], gotTraces[i])
 						}
 					}
 				}

@@ -38,13 +38,9 @@ type TopologyNetwork struct {
 	// routed step (the scenario layer's ablation axis): requests go
 	// straight along their deterministic paths.
 	SkipPhase1 bool
-	// PagedKeys forces the engine's paged dense tables even on key
-	// spaces small enough for flat tables (identical results; the
-	// paged A/B knob).
-	PagedKeys bool
 	// MemBudget caps the engine's fixed link-table footprint in bytes
-	// on every routed step; over-budget dense/paged resolutions
-	// degrade to the hashed fallback. Zero means no budget.
+	// on every routed step; over budget a resolution steps down to
+	// paged, then hashed tables. Zero means no budget.
 	MemBudget int64
 	// MemStats, when non-nil, receives the resolved state and memory
 	// footprint of each routed step (the last step's values persist).
@@ -116,7 +112,6 @@ func (n *TopologyNetwork) Route(pkts []*packet.Packet, combine bool, seed uint64
 		Combine:    combine,
 		Workers:    workers,
 		SkipPhase1: n.SkipPhase1,
-		PagedKeys:  n.PagedKeys,
 		MemBudget:  n.MemBudget,
 		MemStats:   n.MemStats,
 		Lease:      n.Lease,

@@ -90,27 +90,23 @@ type Options struct {
 	// slice-indexed queue table instead of a hashed index — the
 	// allocation-free hot path. Declarations up to flatKeyLimit get
 	// flat tables (StateDense); larger ones get paged tables
-	// (StatePaged), whose memory is bounded by touched keys. Zero, a
-	// value beyond the paged cap, or a budget-degraded declaration
-	// selects the hashed fallback (StateHashed), which accepts
-	// arbitrary 64-bit keys. Every layout produces bit-identical
-	// results: insertion order is canonical, and per-round effects
-	// commute.
+	// (StatePaged), whose memory is bounded by touched keys; MemBudget
+	// can step either one further down. Zero, a value beyond the paged
+	// cap, or a declaration whose page directory is over budget selects
+	// the hashed fallback (StateHashed), which accepts arbitrary 64-bit
+	// keys. Every layout produces bit-identical results: insertion
+	// order is canonical, and per-round effects commute.
 	MaxKey uint64
 	// MemBudget, when positive, caps the fixed (up-front) link-table
 	// footprint in bytes: flat slots for StateDense, the page
-	// directory for StatePaged, the link index of an event run. A
-	// dense or paged resolution whose fixed footprint exceeds the
-	// budget degrades to StateHashed — which only pays for live keys
-	// — instead of erroring, and the demotion is recorded in
-	// MemStats.Degraded. Zero means no budget.
+	// directory for StatePaged, the link index of an event run. The
+	// round loop steps down a ladder instead of erroring: a flat table
+	// over budget falls to StatePaged, and a page directory over
+	// budget falls to StateHashed, which only pays for live keys.
+	// Either demotion is recorded in MemStats.Degraded. The budget is
+	// the one way to select paged or hashed tables for a key space
+	// the flat layout covers. Zero means no budget.
 	MemBudget int64
-	// ForcePaged forces the paged table representation for any dense
-	// declaration, including ones small enough for flat tables. It
-	// exists so tests and benchmarks can exercise the paged path
-	// against flat-dense results on the same key space; simulators
-	// never need it.
-	ForcePaged bool
 	// Event, when non-nil, selects the asynchronous discrete-event
 	// loop instead of the synchronous round loop: the same injection,
 	// handler and combiner callbacks run over a timing wheel of events
@@ -307,26 +303,21 @@ func New(opts Options) *Engine {
 	} else if opts.MaxKey > 0 && opts.MaxKey <= pagedKeyLimit {
 		tableSize = int((opts.MaxKey-1)>>shift) + 1
 		numPages = (tableSize-1)>>pageBits + 1
-		if opts.MaxKey <= flatKeyLimit && !opts.ForcePaged {
+		// The budget gates the fixed footprint — everything a layout
+		// allocates before a single key is touched: flat slots for
+		// StateDense, the page directory for StatePaged. Each rung that
+		// does not fit steps down to the next (dense → paged → hashed)
+		// rather than erroring; MemStats records the demotion.
+		over := func(fixed int64) bool { return opts.MemBudget > 0 && fixed > opts.MemBudget }
+		state = StatePaged
+		if opts.MaxKey <= flatKeyLimit {
 			state = StateDense
-		} else {
-			state = StatePaged
+			if over(int64(nshards) * int64(tableSize) * queueSlotBytes) {
+				state, degraded = StatePaged, true
+			}
 		}
-		// The budget gates the fixed footprint — everything the dense
-		// states allocate before a single key is touched: flat slots
-		// for StateDense, the page directory for StatePaged. Over
-		// budget degrades to hashed (pay-per-live-key) rather than
-		// erroring; MemStats records the demotion.
-		if opts.MemBudget > 0 {
-			var fixed int64
-			if state == StateDense {
-				fixed = int64(nshards) * int64(tableSize) * queueSlotBytes
-			} else {
-				fixed = int64(nshards) * int64(numPages) * 8
-			}
-			if fixed > opts.MemBudget {
-				state, degraded = StateHashed, true
-			}
+		if state == StatePaged && over(int64(nshards)*int64(numPages)*8) {
+			state, degraded = StateHashed, true
 		}
 	}
 	e := &Engine{

@@ -147,12 +147,18 @@ func TestDenseMatchesHashed(t *testing.T) {
 	}
 }
 
+// pagedBudget steps the small test key spaces (60 to 512 keys) from
+// flat down to paged at up to 8 shards: their flat tables cost at
+// least 60 × 16 B, while their page directories cost at most 8 shards
+// × 1 page × 8 B = 64 B.
+const pagedBudget = 64
+
 // TestStateResolution pins the representation choice: small dense
 // declarations get flat tables, declarations beyond the flat cap get
 // paged tables (not the silent hashed fallback they once did), an
-// undeclared key space stays hashed, and a memory budget too small
-// for the fixed footprint degrades to hashed with the demotion
-// recorded in MemStats.
+// undeclared key space stays hashed, and a memory budget steps down
+// the dense → paged → hashed ladder to the first layout whose fixed
+// footprint fits, with the demotion recorded in MemStats.
 func TestStateResolution(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -163,9 +169,9 @@ func TestStateResolution(t *testing.T) {
 		{"hashed by default", Options{Workers: 1}, StateHashed, false},
 		{"flat dense", Options{Workers: 1, MaxKey: 1024}, StateDense, false},
 		{"paged beyond flat cap", Options{Workers: 1, MaxKey: flatKeyLimit + 1}, StatePaged, false},
-		{"paged forced", Options{Workers: 1, MaxKey: 1024, ForcePaged: true}, StatePaged, false},
 		{"hashed beyond paged cap", Options{Workers: 1, MaxKey: pagedKeyLimit + 1}, StateHashed, false},
 		{"dense within budget", Options{Workers: 1, MaxKey: 1024, MemBudget: 1 << 20}, StateDense, false},
+		{"dense over budget lands paged", Options{Workers: 1, MaxKey: 1 << 20, MemBudget: 1 << 16}, StatePaged, true},
 		{"dense degraded by budget", Options{Workers: 1, MaxKey: 1 << 20, MemBudget: 1 << 10}, StateHashed, true},
 		{"paged within budget", Options{Workers: 1, MaxKey: flatKeyLimit + 1, MemBudget: 1 << 20}, StatePaged, false},
 		{"paged degraded by budget", Options{Workers: 1, MaxKey: pagedKeyLimit, MemBudget: 1 << 10}, StateHashed, true},
@@ -183,10 +189,10 @@ func TestStateResolution(t *testing.T) {
 }
 
 // TestPagedMatchesFlatAndHashed extends the storage-path equivalence
-// property to the paged tables: the same trace run paged (both forced
-// on a small key space and resolved naturally on a past-the-flat-cap
-// declaration) is bit-identical to the flat-dense and hashed results
-// at every worker count.
+// property to the paged tables: the same trace run paged (both budgeted
+// down from flat on a small key space and resolved naturally on a
+// past-the-flat-cap declaration) is bit-identical to the flat-dense and
+// hashed results at every worker count.
 func TestPagedMatchesFlatAndHashed(t *testing.T) {
 	const npkts, starts, length = 600, 40, 60
 	baseSt, baseTr := lineRunOpts(t, Options{Workers: 1, Seed: 42}, npkts, starts, length)
@@ -206,7 +212,7 @@ func TestPagedMatchesFlatAndHashed(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		check("forced-paged", Options{Workers: workers, Seed: 42, MaxKey: length, ForcePaged: true}, StatePaged)
+		check("budget-paged", Options{Workers: workers, Seed: 42, MaxKey: length, MemBudget: pagedBudget}, StatePaged)
 		check("wide-paged", Options{Workers: workers, Seed: 42, MaxKey: flatKeyLimit + 1}, StatePaged)
 		check("degraded-hashed", Options{Workers: workers, Seed: 42, MaxKey: length, MemBudget: 1}, StateHashed)
 	}
@@ -289,7 +295,7 @@ func TestSteadyStateRoundIsAllocationFree(t *testing.T) {
 		want State
 	}{
 		{"flat", Options{Workers: 1, Seed: 7, MaxKey: length}, StateDense},
-		{"paged", Options{Workers: 1, Seed: 7, MaxKey: length, ForcePaged: true}, StatePaged},
+		{"paged", Options{Workers: 1, Seed: 7, MaxKey: length, MemBudget: pagedBudget}, StatePaged},
 		{"hashed", Options{Workers: 1, Seed: 7, MaxKey: length, MemBudget: 1}, StateHashed},
 	} {
 		eng := New(c.opts)

@@ -62,15 +62,19 @@ func TestWorkerEquivalenceLeasedEngine(t *testing.T) {
 	shapes := []struct {
 		name string
 		opts Options
+		want State
 	}{
-		{"dense", Options{Seed: 42, MaxKey: length}},
-		{"paged", Options{Seed: 42, MaxKey: length, ForcePaged: true}},
+		{"dense", Options{Seed: 42, MaxKey: length}, StateDense},
+		{"paged", Options{Seed: 42, MaxKey: length, MemBudget: pagedBudget}, StatePaged},
 	}
 	for _, shape := range shapes {
 		for _, workers := range []int{1, 2, 4} {
 			opts := shape.opts
 			opts.Workers = workers
 			baseSt, baseTr, baseMem := leaseLineRun(t, opts, npkts, starts, length)
+			if baseMem.State != shape.want {
+				t.Fatalf("%s workers=%d: state %v, want %v", shape.name, workers, baseMem.State, shape.want)
+			}
 			lease := &Lease{}
 			for pass := 0; pass < 3; pass++ {
 				opts.Lease = lease
@@ -129,8 +133,8 @@ func TestLeaseShapeMismatchAllocatesFresh(t *testing.T) {
 	if lease.state != StateDense {
 		t.Fatalf("lease stocked as %v, want dense", lease.state)
 	}
-	paged := Options{Workers: 1, Seed: 42, MaxKey: length, ForcePaged: true, Lease: lease}
-	base := Options{Workers: 1, Seed: 42, MaxKey: length, ForcePaged: true}
+	paged := Options{Workers: 1, Seed: 42, MaxKey: length, MemBudget: pagedBudget, Lease: lease}
+	base := Options{Workers: 1, Seed: 42, MaxKey: length, MemBudget: pagedBudget}
 	wantSt, _, wantMem := leaseLineRun(t, base, 100, 10, length)
 	st, _, mem := leaseLineRun(t, paged, 100, 10, length)
 	if st != wantSt || mem != wantMem {

@@ -22,7 +22,8 @@ const (
 	// first touch: the declared key space only prices a page directory
 	// (8 bytes per 4096 keys) up front, and table memory grows with
 	// *touched* keys. Selected for dense declarations beyond the flat
-	// table cap, raising the dense path to anything addressable.
+	// table cap, raising the dense path to anything addressable, and
+	// for flat-sized ones whose flat table exceeds Options.MemBudget.
 	StatePaged
 )
 
@@ -46,8 +47,9 @@ func (s State) String() string {
 type MemStats struct {
 	// State is the resolved link-state representation.
 	State State
-	// Degraded reports that a dense or paged request was demoted to
-	// hashed because its fixed footprint exceeded Options.MemBudget.
+	// Degraded reports that Options.MemBudget demoted the request one
+	// or two rungs down the dense → paged → hashed ladder because the
+	// layout's fixed footprint exceeded it.
 	Degraded bool
 	// TableBytes is the link-table footprint: exact slot bytes for the
 	// dense and paged states (flat slots, or directory plus touched

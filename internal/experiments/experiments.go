@@ -903,16 +903,16 @@ func E18AsynchronyMatrix(o Options) *metrics.Table {
 // E19Sizes is the scale ladder E19 climbs, split at the engine's
 // flat-table bound. The ab rungs still fit the flat dense tables
 // (every link key below 2^24), so they price the dense-vs-paged A/B
-// directly via the sweep's paged axis; the ceiling rungs grow until
-// the de Bruijn key space crosses the flat bound and the engine pages
-// on its own. Every rung routes the point-to-point graph view: the
-// leveled de Bruijn unrolling multiplies the key space by its level
-// count, which would page the A/B rungs too and leave nothing dense
-// to compare against. Quick sizes shrink every rung to unit-test
-// scale (where nothing pages naturally and only the forced axis
-// exercises the paged path). The E19 benchmark (bench_test.go) uses
-// the same ladder, so the table and the benchmark price identical
-// configurations.
+// directly: once unbudgeted and once under E19PagedBudget, which
+// steps them down to paged; the ceiling rungs grow until the de Bruijn
+// key space crosses the flat bound and the engine pages on its own.
+// Every rung routes the point-to-point graph view: the leveled de
+// Bruijn unrolling multiplies the key space by its level count, which
+// would page the A/B rungs too and leave nothing dense to compare
+// against. Quick sizes shrink every rung to unit-test scale (where
+// nothing pages naturally and only the budget exercises the paged
+// path). The E19 benchmark (bench_test.go) uses the same ladder, so
+// the table and the benchmark price identical configurations.
 func E19Sizes(quick bool) (ab, ceiling []scenario.TopoRef) {
 	if quick {
 		return []scenario.TopoRef{
@@ -933,13 +933,20 @@ func E19Sizes(quick bool) (ab, ceiling []scenario.TopoRef) {
 		}
 }
 
+// E19PagedBudget is the memory budget that steps E19's A/B rungs
+// from flat down to paged tables at Workers 1: it covers every rung's
+// page directory (8 B per 4096 link keys, at most 4 KiB on the full
+// ladder) but none of their flat tables (16 B per link key, at least
+// 512 KiB even at quick sizes).
+const E19PagedBudget = 64 << 10
+
 // E19ScaleCeiling prices million-node-and-beyond routing — the scale
-// the engine's paged tables and 64-bit link keys exist for. Two
+// the engine's paged tables and 64-bit link keys exist for. Three
 // sweeps: an A/B at sizes where the flat dense tables still fit,
-// routing each configuration once dense and once on the forced paged
-// path (identical rounds by construction; the B/node column prices
-// what paging costs), and a ceiling ladder that grows de Bruijn to
-// 16.7M nodes — past the flat 2^24-key bound, where the engine pages
+// routing each configuration once dense and once under E19PagedBudget,
+// which resolves paged (identical rounds by construction; the B/node
+// column prices what paging costs), and a ceiling ladder that grows
+// de Bruijn to 16.7M nodes — past the flat 2^24-key bound, where the engine pages
 // on its own — alongside a 2^20-node torus. rounds/diam staying flat
 // up the ladder is the paper's Õ(diameter) claim surviving three
 // orders of magnitude of scale; B/node staying flat is the engine's
@@ -950,38 +957,36 @@ func E19Sizes(quick bool) (ab, ceiling []scenario.TopoRef) {
 func E19ScaleCeiling(o Options) *metrics.Table {
 	o = o.withDefaults()
 	t := metrics.NewTable("E19 (scale) million-node ceiling: dense vs paged tables up the ladder",
-		"family", "network", "N", "tables", "state", "diam", "rounds(mean)", "rounds/diam", "table(B)", "arena(B)", "B/node", "maxQ")
+		"family", "network", "N", "budget(B)", "state", "diam", "rounds(mean)", "rounds/diam", "table(B)", "arena(B)", "B/node", "maxQ")
 	ab, ceiling := E19Sizes(o.Quick)
-	results := mustSweep(scenario.Spec{
-		Topologies: ab,
-		Workloads:  []scenario.WorkRef{{Name: "perm"}},
-		Paged:      []bool{false, true},
-		Workers:    []int{1},
-		Trials:     1, Seed: o.Seed,
-	})
-	results = append(results, mustSweep(scenario.Spec{
-		Topologies: ceiling,
-		Workloads:  []scenario.WorkRef{{Name: "perm"}},
-		Workers:    []int{1},
-		Trials:     1, Seed: o.Seed,
-	})...)
-	for _, r := range results {
-		tables := "auto"
-		if r.Paged {
-			tables = "forced-paged"
+	for _, rung := range []struct {
+		topos  []scenario.TopoRef
+		budget int64
+	}{{ab, 0}, {ab, E19PagedBudget}, {ceiling, 0}} {
+		budget := "-"
+		if rung.budget > 0 {
+			budget = fmt.Sprintf("%d", rung.budget)
 		}
-		t.AddRow(r.Family,
-			r.Topology,
-			fmt.Sprintf("%d", r.Nodes),
-			tables,
-			r.State,
-			fmt.Sprintf("%d", r.Diameter),
-			fmtF(r.RoundsMean),
-			fmtF(r.RoundsPerDiam),
-			fmt.Sprintf("%d", r.TableBytes),
-			fmt.Sprintf("%d", r.ArenaBytes),
-			fmtF(r.BPerNode),
-			fmt.Sprintf("%d", r.MaxQueue))
+		for _, r := range mustSweep(scenario.Spec{
+			Topologies: rung.topos,
+			Workloads:  []scenario.WorkRef{{Name: "perm"}},
+			MemBudget:  rung.budget,
+			Workers:    []int{1},
+			Trials:     1, Seed: o.Seed,
+		}) {
+			t.AddRow(r.Family,
+				r.Topology,
+				fmt.Sprintf("%d", r.Nodes),
+				budget,
+				r.State,
+				fmt.Sprintf("%d", r.Diameter),
+				fmtF(r.RoundsMean),
+				fmtF(r.RoundsPerDiam),
+				fmt.Sprintf("%d", r.TableBytes),
+				fmt.Sprintf("%d", r.ArenaBytes),
+				fmtF(r.BPerNode),
+				fmt.Sprintf("%d", r.MaxQueue))
+		}
 	}
 	return t
 }

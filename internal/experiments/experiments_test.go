@@ -159,7 +159,8 @@ func TestE18EventRowsCoverEveryFamily(t *testing.T) {
 }
 
 // TestE19PagedMatchesDense pins E19's defining property: on every A/B
-// rung the forced-paged row reproduces the dense row's routing columns
+// rung the budgeted row resolves paged and reproduces the dense row's
+// routing columns
 // exactly (rounds, rounds/diam, maxQ — the engine's bit-identity
 // invariant surfacing in the table), every row reports a resolved
 // state with a positive footprint, and both rungs of both families
@@ -170,9 +171,9 @@ func TestE19PagedMatchesDense(t *testing.T) {
 	}
 	tb := E19ScaleCeiling(quick())
 	lines := dataLines(tb.String())
-	// columns: family network N tables state diam rounds(mean)
+	// columns: family network N budget(B) state diam rounds(mean)
 	// rounds/diam table(B) arena(B) B/node maxQ
-	type rowKey struct{ network, tables string }
+	type rowKey struct{ network, budget string }
 	rows := map[rowKey][]string{}
 	for _, line := range lines {
 		f := strings.Fields(line)
@@ -190,22 +191,25 @@ func TestE19PagedMatchesDense(t *testing.T) {
 		rows[rowKey{f[1], f[3]}] = f
 	}
 	abPairs := 0
-	for key, forced := range rows {
-		if key.tables != "forced-paged" {
+	for key, budgeted := range rows {
+		if key.budget == "-" {
 			continue
 		}
 		abPairs++
-		if forced[4] != "paged" {
-			t.Fatalf("forced-paged row resolved to %q: %v", forced[4], forced)
+		if budgeted[4] != "paged" {
+			t.Fatalf("budgeted row resolved to %q, want paged: %v", budgeted[4], budgeted)
 		}
-		auto, ok := rows[rowKey{key.network, "auto"}]
+		dense, ok := rows[rowKey{key.network, "-"}]
 		if !ok {
-			t.Fatalf("forced-paged row %s has no auto twin", key.network)
+			t.Fatalf("budgeted row %s has no unbudgeted twin", key.network)
+		}
+		if dense[4] != "dense" {
+			t.Fatalf("unbudgeted A/B row resolved to %q, want dense: %v", dense[4], dense)
 		}
 		for _, col := range []int{6, 7, 11} { // rounds(mean), rounds/diam, maxQ
-			if forced[col] != auto[col] {
+			if budgeted[col] != dense[col] {
 				t.Fatalf("%s: paged column %d diverged from dense: %q vs %q",
-					key.network, col, forced[col], auto[col])
+					key.network, col, budgeted[col], dense[col])
 			}
 		}
 	}

@@ -126,14 +126,10 @@ type Options struct {
 	// Workers is the round-engine worker count: 0 selects GOMAXPROCS,
 	// 1 the sequential loop. Any value yields identical results.
 	Workers int
-	// PagedKeys forces the engine's paged dense tables even when the
-	// declared key space fits flat ones (the engine pages
-	// automatically beyond 2^24 keys). Results are bit-identical
-	// either way.
-	PagedKeys bool
 	// MemBudget caps the engine's fixed link-table footprint in bytes;
-	// over budget the run degrades to hashed state instead of
-	// erroring. Zero means no budget. See engine.Options.MemBudget.
+	// over budget the run steps down to paged, then hashed state
+	// instead of erroring. Zero means no budget. See
+	// engine.Options.MemBudget.
 	MemBudget int64
 	// MemStats, when non-nil, receives the engine's resolved state and
 	// table footprint after the run.
@@ -188,14 +184,13 @@ func Route(g *Grid, pkts []*packet.Packet, opts Options) Stats {
 		r.slice = 1
 	}
 	eng := engine.New(engine.Options{
-		Context:    opts.Context,
-		Workers:    opts.Workers,
-		Seed:       opts.Seed,
-		NewQueue:   r.newQueue,
-		MaxKey:     uint64(g.Nodes()) * numDirs,
-		MemBudget:  opts.MemBudget,
-		ForcePaged: opts.PagedKeys,
-		Lease:      opts.Lease,
+		Context:   opts.Context,
+		Workers:   opts.Workers,
+		Seed:      opts.Seed,
+		NewQueue:  r.newQueue,
+		MaxKey:    uint64(g.Nodes()) * numDirs,
+		MemBudget: opts.MemBudget,
+		Lease:     opts.Lease,
 	})
 	st := eng.Run(func(ctx *engine.Ctx) {
 		root := prng.New(opts.Seed)

@@ -242,12 +242,13 @@ func effectiveWorkers(w int) int {
 // workersStrippedKey removes the workers segment from the result's
 // scenario key (reconstructing the key when the result came from a
 // single run and has none). A budget demotion's "/state=" suffix
-// follows that segment, so it is set aside and re-appended: degraded
-// cells group along the workers axis like any other. The reconstructed fallback carries
-// every axis the sweep key does — topology instance, mode, engine,
-// fault level, discipline, algorithm and the ablations — so two
-// single runs differing only in, say, mode can never collapse into
-// one bogus speedup group.
+// follows that segment, so it is set aside and re-appended on both
+// branches: degraded cells group along the workers axis like any
+// other, and never with an undegraded twin. The reconstructed fallback
+// carries every axis the sweep key does — topology instance, mode,
+// engine, fault level, discipline, algorithm, the ablation and the
+// resolved state — so two single runs differing only in, say, mode can
+// never collapse into one bogus speedup group.
 func workersStrippedKey(r Result) string {
 	key := baseKey(r)
 	if key == "" {
@@ -274,12 +275,10 @@ func workersStrippedKey(r Result) string {
 		if r.SkipPhase1 {
 			b.WriteString("/nophase1")
 		}
-		if r.Paged {
-			b.WriteString("/pagedkeys")
-		}
-		return b.String()
+		key = b.String()
+	} else {
+		key = strings.TrimSuffix(key, "/w="+strconv.Itoa(r.Workers))
 	}
-	key = strings.TrimSuffix(key, "/w="+strconv.Itoa(r.Workers))
 	if r.Degraded {
 		key += "/state=" + r.State
 	}

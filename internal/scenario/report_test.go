@@ -145,15 +145,17 @@ func TestSpeedupBaselineResolvesAutoWorkers(t *testing.T) {
 
 // TestWorkersStrippedKeyFallbackSeparatesModes pins the single-run
 // grouping fallback: results without a sweep scenario key but
-// differing in mode, engine/fault or the ablations must land in
-// distinct speedup groups — collapsing them to family/workload mixed
-// an EREW emulation with raw routing in one bogus ratio.
+// differing in mode, engine/fault, the ablation or a budget-degraded
+// table state must land in distinct speedup groups — collapsing them
+// to family/workload mixed an EREW emulation with raw routing in one
+// bogus ratio.
 func TestWorkersStrippedKeyFallbackSeparatesModes(t *testing.T) {
 	variants := []Result{
 		{},
 		{Mode: ModeEREW},
 		{Mode: ModeCRCW},
-		{Paged: true},
+		{Degraded: true, State: "paged"},
+		{Degraded: true, State: "hashed"},
 		{Engine: EngineEvent, Fault: "dp0.2t4"},
 		{Discipline: "lifo", SkipPhase1: true},
 	}

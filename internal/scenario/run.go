@@ -46,7 +46,6 @@ type Result struct {
 	Engine        string  `json:"engine,omitempty"` // "event"; empty = synchronous rounds
 	Fault         string  `json:"fault,omitempty"`  // fault-level label of event cells
 	SkipPhase1    bool    `json:"skip_phase1,omitempty"`
-	Paged         bool    `json:"paged,omitempty"`
 	Workers       int     `json:"workers"`
 	Trials        int     `json:"trials"`
 	Seed          uint64  `json:"seed"`
@@ -71,10 +70,10 @@ type Result struct {
 	// The memory-pricing fields (E19), filled on round-engine cells:
 	// State names the link-state representation that actually priced
 	// the cell ("dense", "paged" or "hashed"), Degraded that a
-	// MemBudget demoted a dense/paged request to the hashed fallback,
-	// TableBytes the engine's link-table footprint, ArenaBytes the
-	// packet-arena slab footprint, and BPerNode their sum per network
-	// node — the scaling figure E19 sweeps. Event cells leave them
+	// MemBudget stepped the request down the dense → paged → hashed
+	// ladder, TableBytes the engine's link-table footprint, ArenaBytes
+	// the packet-arena slab footprint, and BPerNode their sum per
+	// network node — the scaling figure E19 sweeps. Event cells leave them
 	// empty (the event loop prices time, not table memory).
 	State        string  `json:"state,omitempty"`
 	Degraded     bool    `json:"degraded,omitempty"`
@@ -296,8 +295,8 @@ var leases = engine.NewLeasePool(0)
 // reallocates on mismatch, so a coarse bucket costs a miss, never
 // correctness.
 func leaseKey(c Cell) string {
-	return fmt.Sprintf("%s/n=%d/k=%d/lv=%t/m=%s/w=%d/p=%t/mb=%d",
-		c.Topo.Family, c.Topo.N, c.Topo.K, c.Topo.Leveled, c.Mode, c.Workers, c.Paged, c.MemBudget)
+	return fmt.Sprintf("%s/n=%d/k=%d/lv=%t/m=%s/w=%d/mb=%d",
+		c.Topo.Family, c.Topo.N, c.Topo.K, c.Topo.Leveled, c.Mode, c.Workers, c.MemBudget)
 }
 
 // memStats fills the Result's memory-pricing fields from the engine's
@@ -345,8 +344,7 @@ func router(ctx context.Context, b topology.Built, gen workload.Generator, p wor
 		g := b.Graph.(*mesh.Grid)
 		opts := mesh.Options{
 			Context: ctx, Algorithm: alg, Discipline: disc, Workers: c.Workers,
-			PagedKeys: c.Paged, MemBudget: c.MemBudget,
-			MemStats: ms, Lease: lease,
+			MemBudget: c.MemBudget, MemStats: ms, Lease: lease,
 		}
 		res.Algorithm, res.Discipline = algName(c.Algorithm), discName(c.Discipline)
 		if c.Mode != "" {
@@ -382,8 +380,7 @@ func router(ctx context.Context, b topology.Built, gen workload.Generator, p wor
 		if err != nil {
 			return nil, nil, err
 		}
-		net.Context, net.SkipPhase1 = ctx, c.SkipPhase1
-		net.PagedKeys, net.MemBudget = c.Paged, c.MemBudget
+		net.Context, net.SkipPhase1, net.MemBudget = ctx, c.SkipPhase1, c.MemBudget
 		net.MemStats, net.Lease = ms, lease
 		return res, emulTrial(res, net, gen, c), nil
 	}
@@ -401,8 +398,7 @@ func router(ctx context.Context, b topology.Built, gen workload.Generator, p wor
 	}
 	opts := twophase.Options{
 		Context: ctx, SkipPhase1: c.SkipPhase1, Workers: c.Workers,
-		PagedKeys: c.Paged, MemBudget: c.MemBudget,
-		MemStats: ms, Lease: lease, Event: evOpts,
+		MemBudget: c.MemBudget, MemStats: ms, Lease: lease, Event: evOpts,
 		Combine: gen.Needs&workload.NeedsCombining != 0,
 	}
 	// Round-engine runs never retransmit, so the event arms' Retransmits
@@ -460,7 +456,6 @@ func finish(res Result, c Cell, rounds, maxQs []int, elapsed time.Duration) Resu
 	res.Workers = c.Workers
 	res.Trials = c.Trials
 	res.Seed = c.Seed
-	res.Paged = c.Paged
 	res.RoundsMean = mathx.MeanInts(rounds)
 	res.RoundsMax = mathx.MaxInts(rounds)
 	res.MaxQueue = mathx.MaxInts(maxQs)

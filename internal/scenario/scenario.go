@@ -91,19 +91,12 @@ type Spec struct {
 	// collapses on the specialized mesh router (whose three-stage
 	// structure has no such switch). Default: [false].
 	SkipPhase1 []bool `json:"skip_phase1,omitempty"`
-	// Paged is the paged-table ablation axis: true cells force the
-	// engine's paged dense tables even on key spaces small enough for
-	// flat tables (identical results — the flat/paged A/B pair lands
-	// in one artifact). Networks past the flat-table cap route paged
-	// regardless; the per-cell resolved state lands in Result.State.
-	// Collapses on event cells (the event loop keeps its own link
-	// index). Default: [false].
-	Paged []bool `json:"paged,omitempty"`
 	// MemBudget caps the engine's fixed link-table footprint in bytes
-	// on every cell of the sweep; a dense or paged resolution over
-	// budget degrades to the hashed fallback and the cell records
-	// Degraded plus a "/state=hashed" key suffix. Zero means no
-	// budget.
+	// on every cell of the sweep; a resolution over budget steps down
+	// the dense → paged → hashed ladder and the cell records Degraded
+	// plus a "/state=paged" or "/state=hashed" key suffix. It is the
+	// one way to price a flat-sized network on paged or hashed tables.
+	// Zero means no budget.
 	MemBudget int64 `json:"mem_budget,omitempty"`
 	// Engines is the engine axis: "round" prices idealized synchronous
 	// rounds (the default), "event" the asynchronous discrete-event
@@ -198,9 +191,6 @@ func (s Spec) withDefaults() Spec {
 	if len(s.SkipPhase1) == 0 {
 		s.SkipPhase1 = []bool{false}
 	}
-	if len(s.Paged) == 0 {
-		s.Paged = []bool{false}
-	}
 	if len(s.Workers) == 0 {
 		s.Workers = []int{1}
 	}
@@ -245,10 +235,9 @@ type Cell struct {
 	// distribution rows and the adversarial search's seed sweeps.
 	Distribution bool
 	SkipPhase1   bool // ablation: no randomizing phase
-	Paged        bool // force the engine's paged dense tables
 	// MemBudget caps the engine's fixed link-table footprint in bytes
-	// (0 = no budget); over-budget dense/paged resolutions degrade to
-	// the hashed fallback and the Result records Degraded.
+	// (0 = no budget); over budget a resolution steps down to paged,
+	// then hashed tables, and the Result records Degraded.
 	MemBudget int64
 	Timing    bool // fill ElapsedMS/RoundsPerSec (wall-clock, so
 	// sweeps leave it off to keep JSONL deterministic)
@@ -288,9 +277,6 @@ func (c Cell) Key() string {
 	}
 	if c.SkipPhase1 {
 		b.WriteString("/nophase1")
-	}
-	if c.Paged {
-		b.WriteString("/pagedkeys")
 	}
 	if c.MemBudget > 0 {
 		fmt.Fprintf(&b, "/mem=%d", c.MemBudget)
@@ -520,10 +506,8 @@ func (s Spec) cells(cache *buildcache.Cache) (cells []Cell, release func(), err 
 					// ablation every cell except those (the three-stage
 					// mesh router has no such switch). Event cells route
 					// generically — the §3.4 router is a synchronous
-					// construction — and ignore the paged ablation (the
-					// event loop keeps its own link index), so both
-					// collapse there; the fault axis expands only on
-					// event cells.
+					// construction — so both collapse there; the fault
+					// axis expands only on event cells.
 					meshSpecial := eng == "" && meshRouted(b, tr, gen.Class, mode)
 					disciplines := s.Disciplines
 					algorithm := s.Algorithm
@@ -534,40 +518,35 @@ func (s Spec) cells(cache *buildcache.Cache) (cells []Cell, release func(), err 
 					} else {
 						skips = []bool{false}
 					}
-					pages := s.Paged
 					faults := []FaultSpec{{}}
 					var latency LatencySpec
 					if eng != "" {
-						pages = []bool{false}
 						faults = s.Faults
 						latency = specLatency
 					}
 					for _, disc := range disciplines {
 						for _, skip := range skips {
-							for _, paged := range pages {
-								for _, fault := range faults {
-									for _, w := range s.Workers {
-										cells = append(cells, Cell{
-											Topo:         tr,
-											Work:         wr,
-											Built:        b,
-											Discipline:   disc,
-											Algorithm:    algorithm,
-											Mode:         mode,
-											Engine:       eng,
-											Latency:      latency,
-											Fault:        fault,
-											Workers:      w,
-											Trials:       s.Trials,
-											Seed:         s.Seed,
-											Distribution: s.Distribution,
-											SkipPhase1:   skip,
-											Paged:        paged,
-											MemBudget:    s.MemBudget,
-											Timing:       s.Timing,
-											Timeout:      time.Duration(s.TimeoutMS) * time.Millisecond,
-										})
-									}
+							for _, fault := range faults {
+								for _, w := range s.Workers {
+									cells = append(cells, Cell{
+										Topo:         tr,
+										Work:         wr,
+										Built:        b,
+										Discipline:   disc,
+										Algorithm:    algorithm,
+										Mode:         mode,
+										Engine:       eng,
+										Latency:      latency,
+										Fault:        fault,
+										Workers:      w,
+										Trials:       s.Trials,
+										Seed:         s.Seed,
+										Distribution: s.Distribution,
+										SkipPhase1:   skip,
+										MemBudget:    s.MemBudget,
+										Timing:       s.Timing,
+										Timeout:      time.Duration(s.TimeoutMS) * time.Millisecond,
+									})
 								}
 							}
 						}

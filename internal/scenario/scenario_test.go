@@ -8,6 +8,7 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -204,12 +205,12 @@ func TestSweepWorkersAxisEquivalent(t *testing.T) {
 	}
 }
 
-// TestSweepPagedAxisAndBudget pins the paged-table axis and the
-// memory-budget path end to end: paged twins reproduce the flat-dense
-// rounds bit-identically under "/pagedkeys" keys and record
-// state=paged, and an impossible budget degrades every cell to the
-// hashed fallback — same rounds, Degraded recorded, and the
-// "/state=hashed" key suffix marking the demotion in the artifact.
+// TestSweepPagedAxisAndBudget pins the memory-budget ladder end to
+// end: unbudgeted cells resolve flat-dense, a budget that fits only
+// the page directory steps every cell down to paged, and a one-byte
+// budget falls through to the hashed fallback — same rounds as the
+// dense twin on every rung, Degraded recorded, and the "/mem=" segment
+// plus "/state=<resolved>" key suffix marking the demotion.
 func TestSweepPagedAxisAndBudget(t *testing.T) {
 	spec := Spec{
 		Name: "paged-test",
@@ -221,15 +222,14 @@ func TestSweepPagedAxisAndBudget(t *testing.T) {
 			{Family: "butterfly", N: 3},
 		},
 		Workloads: []WorkRef{{Name: "perm"}},
-		Paged:     []bool{false, true},
 		Workers:   []int{1, 4},
 		Trials:    1,
 		Seed:      7,
 	}
 	results := mustRun(t, spec)
-	// 2 paged values x 3 topologies x 2 workers.
-	if len(results) != 12 {
-		t.Fatalf("grid expanded to %d cells, want 12", len(results))
+	// 3 topologies x 2 workers.
+	if len(results) != 6 {
+		t.Fatalf("grid expanded to %d cells, want 6", len(results))
 	}
 	byKey := make(map[string]Result, len(results))
 	for _, r := range results {
@@ -237,52 +237,39 @@ func TestSweepPagedAxisAndBudget(t *testing.T) {
 		if r.TableBytes <= 0 || r.ArenaBytes <= 0 || r.BPerNode <= 0 {
 			t.Fatalf("cell missing memory pricing: %+v", r)
 		}
-		if r.Degraded {
-			t.Fatalf("unbudgeted cell reports degradation: %+v", r)
+		if r.State != "dense" || r.Degraded {
+			t.Fatalf("unbudgeted cell resolved %q degraded=%t: %+v", r.State, r.Degraded, r)
 		}
 	}
-	pagedCells := 0
-	for key, r := range byKey {
-		if !strings.Contains(key, "/pagedkeys") {
-			continue
-		}
-		pagedCells++
-		if r.State != "paged" || !r.Paged {
-			t.Fatalf("%s resolved state %q", key, r.State)
-		}
-		flat := byKey[strings.Replace(key, "/pagedkeys", "", 1)]
-		if flat.State != "dense" {
-			t.Fatalf("flat twin of %s resolved %q", key, flat.State)
-		}
-		if r.RoundsMean != flat.RoundsMean || r.RoundsMax != flat.RoundsMax || r.MaxQueue != flat.MaxQueue {
-			t.Fatalf("paged twin diverged from flat for %s:\n%+v\n%+v", key, r, flat)
-		}
-	}
-	if pagedCells != 6 {
-		t.Fatalf("%d paged cells, want 6", pagedCells)
-	}
-	// One byte of budget fits no table: every cell degrades to the
-	// hashed fallback with identical rounds and a marked key.
-	spec.Paged = nil
-	spec.MemBudget = 1
-	for _, r := range mustRun(t, spec) {
-		if r.State != "hashed" || !r.Degraded {
-			t.Fatalf("budgeted cell did not degrade: %+v", r)
-		}
-		if !strings.HasSuffix(r.Scenario, "/state=hashed") {
-			t.Fatalf("degraded cell key lacks the state suffix: %q", r.Scenario)
-		}
-		if !strings.Contains(r.Scenario, "/mem=1/") {
-			t.Fatalf("budgeted cell key lacks the budget segment: %q", r.Scenario)
-		}
-		base := strings.TrimSuffix(r.Scenario, "/state=hashed")
-		base = strings.Replace(base, "/mem=1", "", 1)
-		flat, ok := byKey[base]
-		if !ok {
-			t.Fatalf("no unbudgeted twin for %q", r.Scenario)
-		}
-		if r.RoundsMean != flat.RoundsMean || r.RoundsMax != flat.RoundsMax || r.MaxQueue != flat.MaxQueue {
-			t.Fatalf("degraded cell diverged from its dense twin:\n%+v\n%+v", r, flat)
+	// 64 bytes covers every cell's page directory (at most 4 shards ×
+	// 8 B) but no flat table (at least 64 keys × 16 B); one byte fits
+	// no table at all.
+	for _, rung := range []struct {
+		budget int64
+		state  string
+	}{{64, "paged"}, {1, "hashed"}} {
+		spec.MemBudget = rung.budget
+		mem := fmt.Sprintf("/mem=%d", rung.budget)
+		for _, r := range mustRun(t, spec) {
+			if r.State != rung.state || !r.Degraded {
+				t.Fatalf("budget %d: cell resolved %q degraded=%t, want %s: %+v",
+					rung.budget, r.State, r.Degraded, rung.state, r)
+			}
+			if !strings.HasSuffix(r.Scenario, "/state="+rung.state) {
+				t.Fatalf("degraded cell key lacks the state suffix: %q", r.Scenario)
+			}
+			if !strings.Contains(r.Scenario, mem+"/") {
+				t.Fatalf("budgeted cell key lacks the budget segment: %q", r.Scenario)
+			}
+			base := strings.TrimSuffix(r.Scenario, "/state="+rung.state)
+			base = strings.Replace(base, mem, "", 1)
+			flat, ok := byKey[base]
+			if !ok {
+				t.Fatalf("no unbudgeted twin for %q", r.Scenario)
+			}
+			if r.RoundsMean != flat.RoundsMean || r.RoundsMax != flat.RoundsMax || r.MaxQueue != flat.MaxQueue {
+				t.Fatalf("degraded cell diverged from its dense twin:\n%+v\n%+v", r, flat)
+			}
 		}
 	}
 }
@@ -483,14 +470,16 @@ func TestReadSpec(t *testing.T) {
 	if _, err := ReadSpec(strings.NewReader(`{"topologiez": []}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
-	// The retired hashed link-state axis is an unknown field now, not a
-	// silently ignored one (a one-byte mem_budget reaches that layout).
-	if _, err := ReadSpec(strings.NewReader(`{
+	// The retired hashed and paged link-state axes are unknown fields
+	// now, not silently ignored ones (mem_budget reaches both layouts).
+	for _, axis := range []string{"hashed", "paged"} {
+		if _, err := ReadSpec(strings.NewReader(`{
 		"topologies": [{"family": "star", "n": 4}],
 		"workloads": [{"name": "perm"}],
-		"hashed": [true]
-	}`)); err == nil || !strings.Contains(err.Error(), "hashed") {
-		t.Fatalf("spec with a hashed axis: want an unknown-field error, got %v", err)
+		"` + axis + `": [true]
+	}`)); err == nil || !strings.Contains(err.Error(), axis) {
+			t.Fatalf("spec with a %s axis: want an unknown-field error, got %v", axis, err)
+		}
 	}
 	// The singular "mode" shorthand folds into the Modes axis.
 	spec, err = ReadSpec(strings.NewReader(`{

@@ -45,14 +45,8 @@ type Options struct {
 	// Workers is the round-engine worker count: 0 selects GOMAXPROCS,
 	// 1 the sequential loop. Any value yields identical results.
 	Workers int
-	// PagedKeys forces the engine's paged dense tables even when the
-	// declared key space fits flat ones (the engine pages
-	// automatically beyond 2^24 keys). Results are bit-identical
-	// either way; the knob exists for equivalence tests and
-	// benchmarks.
-	PagedKeys bool
 	// MemBudget caps the engine's fixed link-table footprint in bytes;
-	// over budget the run degrades to hashed state (pay-per-live-key)
+	// over budget the run steps down to paged, then hashed state
 	// instead of erroring. Zero means no budget. See
 	// engine.Options.MemBudget.
 	MemBudget int64
@@ -81,13 +75,12 @@ func (o Options) Record() bool { return o.Replies || o.Combine || o.RecordPaths 
 // router can fill its node hooks without touching the caller's value.
 func (o Options) Engine(maxKey uint64) engine.Options {
 	eo := engine.Options{
-		Context:    o.Context,
-		Workers:    o.Workers,
-		Seed:       o.Seed,
-		MaxKey:     maxKey,
-		MemBudget:  o.MemBudget,
-		ForcePaged: o.PagedKeys,
-		Lease:      o.Lease,
+		Context:   o.Context,
+		Workers:   o.Workers,
+		Seed:      o.Seed,
+		MaxKey:    maxKey,
+		MemBudget: o.MemBudget,
+		Lease:     o.Lease,
 	}
 	if o.Event != nil {
 		ev := *o.Event

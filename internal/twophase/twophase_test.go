@@ -37,8 +37,8 @@ func TestPairKeyRoundTrip(t *testing.T) {
 // never writes through to the caller's EventOptions.
 func TestEngineCopiesEvent(t *testing.T) {
 	ev := &engine.EventOptions{Base: 1}
-	eo := Options{Seed: 9, PagedKeys: true, Event: ev}.Engine(42)
-	if eo.Event == ev || eo.MaxKey != 42 || eo.Seed != 9 || !eo.ForcePaged {
+	eo := Options{Seed: 9, MemBudget: 64, Event: ev}.Engine(42)
+	if eo.Event == ev || eo.MaxKey != 42 || eo.Seed != 9 || eo.MemBudget != 64 {
 		t.Fatalf("unexpected engine options %+v", eo)
 	}
 	eo.Event.Nodes = 3

@@ -13,18 +13,13 @@ import (
 	"pramemu/internal/topology"
 )
 
-// Tornado returns the half-wrap adversary on a coordinate grid: every
-// node sends to the node whose every coordinate is advanced by
+// TornadoInto returns the half-wrap adversary on a coordinate grid:
+// every node sends to the node whose every coordinate is advanced by
 // ⌊extent/2⌋ (mod extent). On the torus each packet travels the full
 // diameter and the shorter-arc tie-break sends all of them the same
-// way around every ring; on the mesh every packet crosses the bisection.
+// way around every ring; on the mesh every packet crosses the
+// bisection. Packets come from arena a (heap-allocated when a is nil).
 // It panics unless g implements topology.Coordinated.
-func Tornado(g topology.Graph, kind packet.Kind) []*packet.Packet {
-	return TornadoInto(nil, g, kind)
-}
-
-// TornadoInto is Tornado with packets allocated from arena a
-// (heap-allocated when a is nil).
 func TornadoInto(a *packet.Arena, g topology.Graph, kind packet.Kind) []*packet.Packet {
 	co, ok := g.(topology.Coordinated)
 	if !ok {
@@ -43,17 +38,12 @@ func TornadoInto(a *packet.Arena, g topology.Graph, kind packet.Kind) []*packet.
 	return pkts
 }
 
-// Local generalizes Theorem 3.3's distance-d-local workload from the
-// mesh to any point-to-point graph: every node sends one packet to a
-// node sampled uniformly from its BFS ball of radius d (self
-// included). On the mesh proper it delegates to MeshLocal, preserving
-// the paper's reflection-clamped L1 sampling exactly.
-func Local(g topology.Graph, d int, seed uint64) []*packet.Packet {
-	return LocalInto(nil, g, d, seed)
-}
-
-// LocalInto is Local with packets allocated from arena a
-// (heap-allocated when a is nil).
+// LocalInto generalizes Theorem 3.3's distance-d-local workload from
+// the mesh to any point-to-point graph: every node sends one packet to
+// a node sampled uniformly from its BFS ball of radius d (self
+// included). On the mesh proper it delegates to MeshLocalInto,
+// preserving the paper's reflection-clamped L1 sampling exactly.
+// Packets come from arena a (heap-allocated when a is nil).
 func LocalInto(a *packet.Arena, g topology.Graph, d int, seed uint64) []*packet.Packet {
 	if d < 1 {
 		panic("workload: locality distance must be >= 1")

@@ -22,7 +22,7 @@ import (
 
 // Grid is the structural surface of the n x n mesh this package
 // needs: the mesh-package adapter through which the grid-specific
-// generators (Transpose, MeshLocal) see the topology without this
+// generators (TransposeInto, MeshLocal) see the topology without this
 // package importing internal/mesh. *mesh.Grid satisfies it; callers
 // outside the mesh experiments should reach these generators through
 // the registry's capability gates instead of passing grids directly.
@@ -52,14 +52,9 @@ func PermutationInto(a *packet.Arena, nodes int, kind packet.Kind, seed uint64) 
 	return pkts
 }
 
-// Identity returns packets from every node to itself (a degenerate
-// permutation exercising zero-distance handling).
-func Identity(nodes int, kind packet.Kind) []*packet.Packet {
-	return IdentityInto(nil, nodes, kind)
-}
-
-// IdentityInto is Identity with packets allocated from arena a
-// (heap-allocated when a is nil).
+// IdentityInto returns packets from every node to itself (a
+// degenerate permutation exercising zero-distance handling), allocated
+// from arena a (heap-allocated when a is nil).
 func IdentityInto(a *packet.Arena, nodes int, kind packet.Kind) []*packet.Packet {
 	pkts := make([]*packet.Packet, nodes)
 	for i := range pkts {
@@ -68,15 +63,10 @@ func IdentityInto(a *packet.Arena, nodes int, kind packet.Kind) []*packet.Packet
 	return pkts
 }
 
-// BitReversal returns the bit-reversal permutation on nodes = 2^k,
-// the classic adversarial pattern for deterministic oblivious routing.
-// It panics if nodes is not a power of two.
-func BitReversal(nodes int, kind packet.Kind) []*packet.Packet {
-	return BitReversalInto(nil, nodes, kind)
-}
-
-// BitReversalInto is BitReversal with packets allocated from arena a
-// (heap-allocated when a is nil).
+// BitReversalInto returns the bit-reversal permutation on nodes =
+// 2^k, the classic adversarial pattern for deterministic oblivious
+// routing, allocated from arena a (heap-allocated when a is nil). It
+// panics if nodes is not a power of two.
 func BitReversalInto(a *packet.Arena, nodes int, kind packet.Kind) []*packet.Packet {
 	k := log2Exact(nodes, "BitReversal")
 	pkts := make([]*packet.Packet, nodes)
@@ -90,17 +80,12 @@ func BitReversalInto(a *packet.Arena, nodes int, kind packet.Kind) []*packet.Pac
 	return pkts
 }
 
-// BitComplement returns the bit-complement permutation on nodes =
-// 2^k: node i sends to ^i, the all-bits-flipped node. Every packet
+// BitComplementInto returns the bit-complement permutation on nodes
+// = 2^k: node i sends to ^i, the all-bits-flipped node. Every packet
 // must cross every dimension, making the pattern the maximal-distance
 // adversary on the binary families (the complement of shift's
-// minimal-distance traffic). It panics if nodes is not a power of two.
-func BitComplement(nodes int, kind packet.Kind) []*packet.Packet {
-	return BitComplementInto(nil, nodes, kind)
-}
-
-// BitComplementInto is BitComplement with packets allocated from
-// arena a (heap-allocated when a is nil).
+// minimal-distance traffic). Packets come from arena a (heap-allocated
+// when a is nil). It panics if nodes is not a power of two.
 func BitComplementInto(a *packet.Arena, nodes int, kind packet.Kind) []*packet.Packet {
 	log2Exact(nodes, "BitComplement")
 	pkts := make([]*packet.Packet, nodes)
@@ -123,14 +108,9 @@ func log2Exact(nodes int, generator string) int {
 	return k
 }
 
-// Shift returns the neighbor permutation: node i sends to i+1 mod
-// nodes, the minimal-distance traffic that measures per-hop overhead
-// with no congestion at all.
-func Shift(nodes int, kind packet.Kind) []*packet.Packet {
-	return ShiftInto(nil, nodes, kind)
-}
-
-// ShiftInto is Shift with packets allocated from arena a
+// ShiftInto returns the neighbor permutation: node i sends to i+1
+// mod nodes, the minimal-distance traffic that measures per-hop
+// overhead with no congestion at all. Packets come from arena a
 // (heap-allocated when a is nil).
 func ShiftInto(a *packet.Arena, nodes int, kind packet.Kind) []*packet.Packet {
 	pkts := make([]*packet.Packet, nodes)
@@ -197,19 +177,14 @@ func HotSpotInto(a *packet.Arena, nodes int, fraction float64, hotDst int, kind 
 	return pkts
 }
 
-// KHot returns the many-to-one k-hot-spot pattern: `hot` shared
+// KHotInto returns the many-to-one k-hot-spot pattern: `hot` shared
 // destinations are drawn from the seed, and every node sends a
 // request of the given kind to one of them — with probability
 // `fraction` to the hot address shared by that destination (so
 // combining trees form en route, Theorem 2.6), otherwise to a private
 // address at the same destination. A generalization of HotSpot from
-// one hot module to k, runnable on any registered family.
-func KHot(nodes, hot int, fraction float64, kind packet.Kind, seed uint64) []*packet.Packet {
-	return KHotInto(nil, nodes, hot, fraction, kind, seed)
-}
-
-// KHotInto is KHot with packets allocated from arena a
-// (heap-allocated when a is nil).
+// one hot module to k, runnable on any registered family. Packets come
+// from arena a (heap-allocated when a is nil).
 func KHotInto(a *packet.Arena, nodes, hot int, fraction float64, kind packet.Kind, seed uint64) []*packet.Packet {
 	if fraction < 0 || fraction > 1 {
 		panic(fmt.Sprintf("workload: k-hot-spot fraction %v out of [0,1]", fraction))
@@ -393,14 +368,9 @@ func abs(x int) int {
 	return x
 }
 
-// Transpose returns the mesh transpose permutation (r, c) -> (c, r),
-// the adversarial pattern for greedy dimension-ordered mesh routing.
-func Transpose(g Grid) []*packet.Packet {
-	return TransposeInto(nil, g)
-}
-
-// TransposeInto is Transpose with packets allocated from arena a
-// (heap-allocated when a is nil).
+// TransposeInto returns the mesh transpose permutation (r, c) ->
+// (c, r), the adversarial pattern for greedy dimension-ordered mesh
+// routing, allocated from arena a (heap-allocated when a is nil).
 func TransposeInto(a *packet.Arena, g Grid) []*packet.Packet {
 	n := g.Side()
 	pkts := make([]*packet.Packet, 0, g.Nodes())
@@ -415,7 +385,7 @@ func TransposeInto(a *packet.Arena, g Grid) []*packet.Packet {
 }
 
 // IsSquare reports whether nodes is a perfect square (the
-// TransposeSquare precondition).
+// TransposeSquareInto precondition).
 func IsSquare(nodes int) bool {
 	s := side(nodes)
 	return s > 0 && s*s == nodes
@@ -429,18 +399,13 @@ func side(nodes int) int {
 	return s
 }
 
-// TransposeSquare returns the transpose permutation on any square
-// node count: with s = √nodes, node r*s + c sends to node c*s + r.
-// On tori and meshes this is the classic adversarial pattern for
-// dimension-ordered routing (every packet crosses the main diagonal,
-// complementing the bit-reversal permutation on the binary families).
+// TransposeSquareInto returns the transpose permutation on any
+// square node count: with s = √nodes, node r*s + c sends to node
+// c*s + r. On tori and meshes this is the classic adversarial pattern
+// for dimension-ordered routing (every packet crosses the main
+// diagonal, complementing the bit-reversal permutation on the binary
+// families). Packets come from arena a (heap-allocated when a is nil).
 // It panics unless nodes is a perfect square.
-func TransposeSquare(nodes int, kind packet.Kind) []*packet.Packet {
-	return TransposeSquareInto(nil, nodes, kind)
-}
-
-// TransposeSquareInto is TransposeSquare with packets allocated from
-// arena a (heap-allocated when a is nil).
 func TransposeSquareInto(a *packet.Arena, nodes int, kind packet.Kind) []*packet.Packet {
 	if !IsSquare(nodes) {
 		panic(fmt.Sprintf("workload: TransposeSquare needs a square node count, got %d", nodes))

@@ -44,7 +44,7 @@ func TestPermutationSeeded(t *testing.T) {
 }
 
 func TestIdentity(t *testing.T) {
-	for _, p := range Identity(10, packet.Transit) {
+	for _, p := range IdentityInto(nil, 10, packet.Transit) {
 		if p.Src != p.Dst {
 			t.Fatal("identity packet not self-addressed")
 		}
@@ -52,7 +52,7 @@ func TestIdentity(t *testing.T) {
 }
 
 func TestBitReversal(t *testing.T) {
-	pkts := BitReversal(8, packet.Transit)
+	pkts := BitReversalInto(nil, 8, packet.Transit)
 	want := []int{0, 4, 2, 6, 1, 5, 3, 7}
 	for i, p := range pkts {
 		if p.Dst != want[i] {
@@ -64,7 +64,7 @@ func TestBitReversal(t *testing.T) {
 			t.Fatal("non-power-of-two should panic")
 		}
 	}()
-	BitReversal(6, packet.Transit)
+	BitReversalInto(nil, 6, packet.Transit)
 }
 
 func TestRelation(t *testing.T) {
@@ -119,7 +119,7 @@ func TestHotSpot(t *testing.T) {
 }
 
 func TestKHotTargetsKDistinctModules(t *testing.T) {
-	pkts := KHot(300, 3, 1, packet.Transit, 11)
+	pkts := KHotInto(nil, 300, 3, 1, packet.Transit, 11)
 	dsts := make(map[int]bool)
 	addrs := make(map[uint64]bool)
 	for _, p := range pkts {
@@ -138,12 +138,12 @@ func TestKHotTargetsKDistinctModules(t *testing.T) {
 }
 
 func TestShiftAndBitComplement(t *testing.T) {
-	for i, p := range Shift(10, packet.Transit) {
+	for i, p := range ShiftInto(nil, 10, packet.Transit) {
 		if p.Dst != (i+1)%10 {
 			t.Fatalf("shift(%d) = %d", i, p.Dst)
 		}
 	}
-	for i, p := range BitComplement(8, packet.Transit) {
+	for i, p := range BitComplementInto(nil, 8, packet.Transit) {
 		if p.Dst != 7-i {
 			t.Fatalf("bitcomp(%d) = %d, want %d", i, p.Dst, 7-i)
 		}
@@ -153,7 +153,7 @@ func TestShiftAndBitComplement(t *testing.T) {
 			t.Fatal("non-power-of-two should panic")
 		}
 	}()
-	BitComplement(6, packet.Transit)
+	BitComplementInto(nil, 6, packet.Transit)
 }
 
 func TestRequestsConversion(t *testing.T) {
@@ -237,7 +237,7 @@ func TestMeshLocalWithinDistance(t *testing.T) {
 
 func TestTranspose(t *testing.T) {
 	g := mesh.New(8)
-	pkts := Transpose(g)
+	pkts := TransposeInto(nil, g)
 	if len(pkts) != 64 {
 		t.Fatalf("%d packets", len(pkts))
 	}
@@ -252,7 +252,7 @@ func TestTranspose(t *testing.T) {
 
 func TestTransposeSquare(t *testing.T) {
 	const nodes = 81 // 9x9, works for any square count (torus or mesh)
-	pkts := TransposeSquare(nodes, packet.Transit)
+	pkts := TransposeSquareInto(nil, nodes, packet.Transit)
 	if len(pkts) != nodes {
 		t.Fatalf("%d packets", len(pkts))
 	}
@@ -279,7 +279,7 @@ func TestTransposeSquareRejectsNonSquares(t *testing.T) {
 			t.Fatal("non-square count should panic")
 		}
 	}()
-	TransposeSquare(10, packet.Transit)
+	TransposeSquareInto(nil, 10, packet.Transit)
 }
 
 // TestIntoVariantsMatchHeapVariants pins that the arena-allocating
