@@ -163,16 +163,17 @@ func equivalenceCases() []simCase {
 		{"ranade7", func(seed uint64, workers int) (any, []ptrace) {
 			n := ranade.New(7) // 128 rows
 			pkts := readHotSpots(n.Nodes(), seed)
-			st := n.RouteOpts(pkts, ranade.Options{Combine: true, Seed: seed, Workers: workers})
+			st := n.Route(pkts, ranade.Options{Combine: true, Workers: workers})
 			return st, tracesOf(pkts)
 		}},
 		{"ranade9-large", func(seed uint64, workers int) (any, []ptrace) {
-			// 512 rows: above ranade's 256-row inline cutoff, so its
-			// per-level worker fan-out (the one parallel path not on
-			// internal/engine) runs — and is raced — here.
+			// 512 rows: above ranade's 256-row inline cutoff, so the
+			// forward pass's per-level worker fan-out (the one parallel
+			// path not on internal/engine; the reply pass steps an
+			// engine) runs — and is raced — here.
 			n := ranade.New(9)
 			pkts := readHotSpots(n.Nodes(), seed)
-			st := n.RouteOpts(pkts, ranade.Options{Combine: true, Seed: seed, Workers: workers})
+			st := n.Route(pkts, ranade.Options{Combine: true, Workers: workers})
 			return st, tracesOf(pkts)
 		}},
 	}
@@ -277,13 +278,12 @@ func denseHashedCases() []denseCase {
 			return st, tracesOf(pkts)
 		}},
 		{"ranade6-replylinks", func(seed uint64, workers int, _ bool) (any, []ptrace) {
-			// Ranade has no engine link state: its reply pass keeps
-			// its own reverse-link table, so only the workers vary.
+			// Ranade's reply pass steps an engine, but ranade.Options
+			// declares no memory budget, so its reverse links always
+			// take the flat table and only the workers vary.
 			n := ranade.New(6)
 			pkts := readHotSpots(n.Nodes(), seed)
-			st := n.RouteOpts(pkts, ranade.Options{
-				Combine: true, Seed: seed, Workers: workers,
-			})
+			st := n.Route(pkts, ranade.Options{Combine: true, Workers: workers})
 			return st, tracesOf(pkts)
 		}},
 	}

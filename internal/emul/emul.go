@@ -86,7 +86,6 @@ type Emulator struct {
 	net       Network
 	cfg       Config
 	hash      *hashing.Manager
-	steps     []RouteStats
 	rehashes  int
 	seedCtr   uint64
 	threshold int
@@ -131,9 +130,6 @@ func (e *Emulator) Network() Network { return e.net }
 // Rehashes returns how many rehash events have occurred.
 func (e *Emulator) Rehashes() int { return e.rehashes }
 
-// StepStats returns the per-step routing statistics recorded so far.
-func (e *Emulator) StepStats() []RouteStats { return append([]RouteStats(nil), e.steps...) }
-
 // HashBits returns the description size of the current hash function
 // in bits (the O(L log M) of §2.1).
 func (e *Emulator) HashBits() int { return e.hash.Current().Bits() }
@@ -142,8 +138,7 @@ func (e *Emulator) HashBits() int { return e.hash.Current().Bits() }
 // emulated by hashing each touched address to its module, routing the
 // request packets and read replies, and charging the routing time.
 func (e *Emulator) ExecuteStep(step int, reqs []pram.Request) int {
-	stats, cost := e.routeRequests(reqs)
-	e.steps = append(e.steps, stats)
+	_, cost := e.routeRequests(reqs)
 	return cost
 }
 

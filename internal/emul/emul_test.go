@@ -230,13 +230,9 @@ func TestEmulatorAsStepExecutor(t *testing.T) {
 	if m.Steps() != 2 {
 		t.Fatalf("steps = %d", m.Steps())
 	}
-	// Each step must cost at least the round trip 2*diam... at least
-	// diameter, and the emulator recorded stats per step.
+	// Each step must cost at least the round trip 2*diam.
 	if m.Time() < int64(2*net.Diameter()) {
 		t.Fatalf("time = %d suspiciously small", m.Time())
-	}
-	if len(e.StepStats()) != 2 {
-		t.Fatalf("step stats = %d entries", len(e.StepStats()))
 	}
 }
 

@@ -155,9 +155,10 @@ func (n *RanadeNetwork) Nodes() int { return n.Net.Nodes() }
 // Diameter implements Network.
 func (n *RanadeNetwork) Diameter() int { return n.Net.Diameter() }
 
-// Route implements Network.
-func (n *RanadeNetwork) Route(pkts []*packet.Packet, combine bool, seed uint64, workers int) RouteStats {
-	s := n.Net.RouteOpts(pkts, ranade.Options{Combine: combine, Seed: seed, Workers: workers})
+// Route implements Network. The seed is unused: Ranade's pass is
+// deterministic given the hash placement.
+func (n *RanadeNetwork) Route(pkts []*packet.Packet, combine bool, _ uint64, workers int) RouteStats {
+	s := n.Net.Route(pkts, ranade.Options{Combine: combine, Workers: workers})
 	return RouteStats{
 		Rounds:        s.Rounds,
 		MaxQueue:      s.MaxQueue,

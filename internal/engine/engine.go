@@ -418,7 +418,8 @@ func shardOf(key, mask uint64) int {
 // seeds round 0 by calling ctx.Emit for each initial arrival (and may
 // record injection-time deliveries in ctx); handle advances popped
 // packets; combine, if non-nil, is offered each arrival before
-// insertion. Returns the folded statistics.
+// insertion. Returns the folded statistics. A round-loop Run is
+// exactly Start, Step until nothing is live, and Finish.
 //
 // A steady-state round allocates nothing on any layout: link tables,
 // pages, link-index slots, active lists, gather and sort buffers and
@@ -429,26 +430,50 @@ func (e *Engine) Run(inject func(ctx *Ctx), handle Handler, combine Combiner) St
 	if e.event != nil {
 		return e.runEvent(inject, handle, combine)
 	}
+	e.Start(handle, combine)
+	for live := e.Step(inject); live > 0; live = e.Step(nil) {
+	}
+	return e.Finish()
+}
+
+// Start arms a stepped round-loop run: handle and combine play their
+// Run roles for every following Step, and the round counter restarts
+// at zero. The event loop does not step; it runs only through Run.
+func (e *Engine) Start(handle Handler, combine Combiner) {
+	if e.event != nil {
+		panic("engine: Start on an event engine")
+	}
 	e.handle, e.combine = handle, combine
+	e.round = 0
+}
+
+// Step runs one round and returns the number of live link queues it
+// leaves. A non-nil inject emits first, and its arrivals are pushed
+// stamped with the previous round, so each crosses its first link in
+// this round's drain with zero Delay, behind the packets already
+// queued on that link. The round counter advances even when nothing
+// is live, so a caller that steps once per round of its own keeps the
+// handler's round equal to its own.
+func (e *Engine) Step(inject func(ctx *Ctx)) (live int) {
 	if inject != nil {
 		inject(&e.shards[0].ctx)
+		e.pool.RunIf(false, len(e.shards), e.pushFn)
 	}
-	e.round = 0
-	e.pool.RunIf(false, len(e.shards), e.pushFn)
-	for round := 1; ; round++ {
-		e.checkContext()
-		live := 0
-		for i := range e.shards {
-			live += len(e.shards[i].active)
-		}
-		if live == 0 {
-			break
-		}
+	e.checkContext()
+	e.round++
+	if live = e.live(); live > 0 {
 		par := live >= parallelThreshold
-		e.round = round
 		e.pool.RunIf(par, len(e.shards), e.drainFn)
 		e.pool.RunIf(par, len(e.shards), e.pushFn)
+		live = e.live()
 	}
+	return live
+}
+
+// Finish ends a stepped run: it clears the retained scratch buffers,
+// hands the tables back to the Lease, if any, and returns the folded
+// statistics.
+func (e *Engine) Finish() Stats {
 	e.clearScratch()
 	e.releaseLease()
 	var out Stats
@@ -466,6 +491,15 @@ func (e *Engine) Run(inject func(ctx *Ctx), handle Handler, combine Combiner) St
 		maxInto(&out.MaxModuleLoad, v)
 	}
 	return out
+}
+
+// live counts the non-empty link queues across shards.
+func (e *Engine) live() int {
+	n := 0
+	for i := range e.shards {
+		n += len(e.shards[i].active)
+	}
+	return n
 }
 
 // checkContext polls Options.Context and unwinds the run with an
@@ -546,7 +580,7 @@ func (e *Engine) pushShard(s, round int, combine Combiner) {
 		buf = append(buf, src.out[s]...)
 		src.out[s] = src.out[s][:0]
 	}
-	sorted, spare := SortArrivals(buf, sh.scratch)
+	sorted, spare := sortArrivals(buf, sh.scratch)
 	for _, a := range sorted {
 		q := sh.queue(a.Key)
 		if combine != nil && q != nil && combine(&sh.ctx, q, a) {

@@ -282,33 +282,59 @@ func TestDenseRejectsOutOfRangeKey(t *testing.T) {
 // queues are warm, an entire sequential Run — injection, every drain
 // and every radix push phase — performs zero heap allocations. Every
 // layout preserves it: pages allocate on first touch and are retained,
-// and the hashed layout's link index keeps its grown slots.
+// and the hashed layout's link index keeps its grown slots. A stepped
+// run whose every round injects through one prebuilt closure, as
+// Ranade's reply pass does, holds it too.
 func TestSteadyStateRoundIsAllocationFree(t *testing.T) {
 	const npkts, length = 64, 512
 	pkts := make([]*packet.Packet, npkts)
 	for i := range pkts {
 		pkts[i] = packet.New(i, 0, 0, packet.Transit)
 	}
+	inject := func(ctx *Ctx) {
+		for i, p := range pkts {
+			p.Delay = 0
+			p.EnqueuedAt = 0
+			ctx.Emit(uint64(i%8), p) // pile onto few links: real contention
+		}
+	}
+	handle := func(ctx *Ctx, a Arrival, round int) {
+		if next := a.Key + 1; next < length {
+			ctx.Emit(next, a.P)
+		}
+	}
+	var batch []*packet.Packet
+	injectBatch := func(ctx *Ctx) {
+		for i, p := range batch {
+			p.Delay = 0
+			ctx.Emit(uint64(i), p)
+		}
+	}
 	for _, c := range []struct {
-		name string
-		opts Options
-		want State
+		name    string
+		opts    Options
+		want    State
+		stepped bool
 	}{
-		{"flat", Options{Workers: 1, Seed: 7, MaxKey: length}, StateDense},
-		{"paged", Options{Workers: 1, Seed: 7, MaxKey: length, MemBudget: pagedBudget}, StatePaged},
-		{"hashed", Options{Workers: 1, Seed: 7, MaxKey: length, MemBudget: 1}, StateHashed},
+		{"flat", Options{Workers: 1, Seed: 7, MaxKey: length}, StateDense, false},
+		{"paged", Options{Workers: 1, Seed: 7, MaxKey: length, MemBudget: pagedBudget}, StatePaged, false},
+		{"hashed", Options{Workers: 1, Seed: 7, MaxKey: length, MemBudget: 1}, StateHashed, false},
+		{"stepped", Options{Workers: 1, Seed: 7, MaxKey: length}, StateDense, true},
 	} {
 		eng := New(c.opts)
-		inject := func(ctx *Ctx) {
-			for i, p := range pkts {
-				p.Delay = 0
-				p.EnqueuedAt = 0
-				ctx.Emit(uint64(i%8), p) // pile onto few links: real contention
-			}
-		}
-		handle := func(ctx *Ctx, a Arrival, round int) {
-			if next := a.Key + 1; next < length {
-				ctx.Emit(next, a.P)
+		run := func() { eng.Run(inject, handle, nil) }
+		if c.stepped {
+			// Eight packets join the same eight links every round until
+			// all have entered, then the run steps until it drains.
+			run = func() {
+				eng.Start(handle, nil)
+				for r := 0; ; r++ {
+					batch = pkts[min(8*r, npkts):min(8*r+8, npkts)]
+					if eng.Step(injectBatch) == 0 && len(batch) == 0 {
+						break
+					}
+				}
+				eng.Finish()
 			}
 		}
 		// Warm-up: tables, gather buffers and the queue free list reach
@@ -316,16 +342,65 @@ func TestSteadyStateRoundIsAllocationFree(t *testing.T) {
 		// recycled queues rotate through links and only grow their rings
 		// lazily on the first burst each one serves.
 		for i := 0; i < 50; i++ {
-			eng.Run(inject, handle, nil)
+			run()
 		}
 		if eng.State() != c.want {
 			t.Fatalf("%s: state %v, want %v", c.name, eng.State(), c.want)
 		}
-		if allocs := testing.AllocsPerRun(10, func() {
-			eng.Run(inject, handle, nil)
-		}); allocs != 0 {
+		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
 			t.Fatalf("%s: steady-state Run allocated %.1f objects, want 0", c.name, allocs)
 		}
+	}
+}
+
+// TestStepInjectsBeforeDrain pins the stepping contract: arrivals a
+// Step injects are pushed stamped with the previous round, so a packet
+// injected onto an empty link crosses it in the same round with zero
+// Delay, while one injected onto a busy link queues behind the packets
+// already there, whatever its ID. Idle Steps still advance the round.
+func TestStepInjectsBeforeDrain(t *testing.T) {
+	type hop struct{ id, round, delay int }
+	var hops []hop
+	eng := New(Options{Workers: 1, MaxKey: 16})
+	eng.Start(func(ctx *Ctx, a Arrival, round int) {
+		hops = append(hops, hop{a.P.ID, round, a.P.Delay})
+	}, nil)
+	emit := func(key uint64, ids ...int) func(*Ctx) {
+		return func(ctx *Ctx) {
+			for _, id := range ids {
+				ctx.Emit(key, packet.New(id, 0, 0, packet.Transit))
+			}
+		}
+	}
+	steps := []struct {
+		inject func(*Ctx)
+		live   int
+	}{
+		{emit(0, 4, 5), 1}, // round 1: 4 crosses link 0, 5 waits
+		{func(ctx *Ctx) { // round 2: 5 crosses, 2 queues behind it; 3 crosses link 7
+			emit(0, 2)(ctx)
+			emit(7, 3)(ctx)
+		}, 1},
+		{nil, 0},        // round 3: 2 crosses
+		{nil, 0},        // round 4: idle
+		{emit(1, 9), 0}, // round 5: 9 crosses link 1
+	}
+	for i, s := range steps {
+		if live := eng.Step(s.inject); live != s.live {
+			t.Fatalf("step %d: live %d, want %d", i+1, live, s.live)
+		}
+	}
+	want := []hop{{4, 1, 0}, {5, 2, 1}, {3, 2, 0}, {2, 3, 1}, {9, 5, 0}}
+	if len(hops) != len(want) {
+		t.Fatalf("hops %v, want %v", hops, want)
+	}
+	for i := range want {
+		if hops[i] != want[i] {
+			t.Fatalf("hops %v, want %v", hops, want)
+		}
+	}
+	if st := eng.Finish(); st.MaxQueue != 2 {
+		t.Fatalf("MaxQueue %d, want 2", st.MaxQueue)
 	}
 }
 

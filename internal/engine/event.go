@@ -429,7 +429,7 @@ func (ev *eventLoop) detach(slot int, sorted bool) []Arrival {
 	}
 	ev.pending -= len(batch)
 	if sorted {
-		batch, ev.scratch = SortArrivals(batch, ev.scratch)
+		batch, ev.scratch = sortArrivals(batch, ev.scratch)
 	}
 	ev.batch = batch
 	return batch

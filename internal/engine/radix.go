@@ -1,6 +1,6 @@
 package engine
 
-// SortArrivals sorts buf ascending by (Key, P.ID) — the canonical
+// sortArrivals sorts buf ascending by (Key, P.ID) — the canonical
 // queue-insertion order of invariant 2 — and returns the sorted slice
 // plus the spare buffer, each of which aliases buf or scratch. The
 // sort is an LSD radix over the bytes of ID then Key, delta-encoded
@@ -13,7 +13,7 @@ package engine
 //
 // The sort is stable: arrivals with fully equal (Key, ID) keep their
 // emission order.
-func SortArrivals(buf, scratch []Arrival) (sorted, spare []Arrival) {
+func sortArrivals(buf, scratch []Arrival) (sorted, spare []Arrival) {
 	n := len(buf)
 	if n < 2 {
 		return buf, scratch

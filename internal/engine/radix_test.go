@@ -8,7 +8,7 @@ import (
 	"pramemu/internal/prng"
 )
 
-// refSort is the specification SortArrivals must match: a stable
+// refSort is the specification sortArrivals must match: a stable
 // comparison sort on (Key, ID).
 func refSort(a []Arrival) {
 	sort.SliceStable(a, func(i, j int) bool {
@@ -40,7 +40,7 @@ func randomArrivals(n int, keyRange uint64, idRange int, negIDs bool, seed uint6
 
 // TestSortArrivalsMatchesReference is the property test of the radix
 // push phase: on random (key, ID) sets — including duplicate keys,
-// fully duplicate pairs and negative IDs — SortArrivals must agree
+// fully duplicate pairs and negative IDs — sortArrivals must agree
 // with the stable comparison sort element for element, down to packet
 // identity (which pins stability, since equal pairs are then only
 // distinguishable by emission order).
@@ -69,7 +69,7 @@ func TestSortArrivalsMatchesReference(t *testing.T) {
 			want := append([]Arrival(nil), in...)
 			refSort(want)
 			var scratch []Arrival
-			got, _ := SortArrivals(in, scratch)
+			got, _ := sortArrivals(in, scratch)
 			if len(got) != len(want) {
 				t.Fatalf("case %d trial %d: length %d != %d", ci, trial, len(got), len(want))
 			}
@@ -92,12 +92,12 @@ func TestSortArrivalsReusesScratch(t *testing.T) {
 	buf := make([]Arrival, len(batch))
 	var scratch []Arrival
 	copy(buf, batch)
-	buf, scratch = SortArrivals(buf, scratch)
+	buf, scratch = sortArrivals(buf, scratch)
 	if allocs := testing.AllocsPerRun(10, func() {
 		copy(buf[:cap(buf)][:len(batch)], batch)
-		buf, scratch = SortArrivals(buf[:cap(buf)][:len(batch)], scratch)
+		buf, scratch = sortArrivals(buf[:cap(buf)][:len(batch)], scratch)
 	}); allocs != 0 {
-		t.Fatalf("warm SortArrivals allocated %.1f objects, want 0", allocs)
+		t.Fatalf("warm sortArrivals allocated %.1f objects, want 0", allocs)
 	}
 }
 
@@ -109,7 +109,7 @@ func BenchmarkSortArrivals(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			copy(buf[:len(batch)], batch)
-			buf, scratch = SortArrivals(buf[:cap(buf)][:len(batch)], scratch)
+			buf, scratch = sortArrivals(buf[:cap(buf)][:len(batch)], scratch)
 		}
 	})
 	b.Run("sort.Slice", func(b *testing.B) {

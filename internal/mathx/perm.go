@@ -55,21 +55,6 @@ func PermUnrank(r uint64, out []int) {
 	}
 }
 
-// PermInverse writes the inverse of permutation p into out.
-func PermInverse(p, out []int) {
-	for i, v := range p {
-		out[v] = i
-	}
-}
-
-// PermCompose writes a∘b (apply b first, then a) into out:
-// out[i] = a[b[i]]. out must not alias a.
-func PermCompose(a, b, out []int) {
-	for i := range out {
-		out[i] = a[b[i]]
-	}
-}
-
 // IsPermutation reports whether p is a permutation of {0, ..., len(p)-1}.
 func IsPermutation(p []int) bool {
 	seen := make([]bool, len(p))

@@ -1,11 +1,6 @@
 package mathx
 
-import (
-	"testing"
-	"testing/quick"
-
-	"pramemu/internal/prng"
-)
+import "testing"
 
 func TestFactorial(t *testing.T) {
 	want := []uint64{1, 1, 2, 6, 24, 120, 720, 5040, 40320, 362880, 3628800}
@@ -88,38 +83,6 @@ func TestPermUnrankPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	PermUnrank(6, make([]int, 3))
-}
-
-func TestPermInverse(t *testing.T) {
-	check := func(seed uint64) bool {
-		p := prng.New(seed).Perm(9)
-		inv := make([]int, 9)
-		comp := make([]int, 9)
-		PermInverse(p, inv)
-		PermCompose(p, inv, comp)
-		for i, v := range comp {
-			if v != i {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPermCompose(t *testing.T) {
-	a := []int{2, 0, 1}
-	b := []int{1, 2, 0}
-	out := make([]int, 3)
-	PermCompose(a, b, out)
-	want := []int{0, 1, 2} // a[b[i]]: a[1]=0, a[2]=1, a[0]=2
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("PermCompose = %v, want %v", out, want)
-		}
-	}
 }
 
 func TestIsPermutation(t *testing.T) {

@@ -84,46 +84,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// LinearFit fits y = a*x + b by least squares and returns the slope a,
-// intercept b, and the coefficient of determination r2. The benchmark
-// harness uses it to extract the constant in front of the leading term
-// of each theorem's bound (e.g. "time = 2.03*n + o(n)"). It panics if
-// fewer than two points are supplied or all x are identical.
-func LinearFit(x, y []float64) (a, b, r2 float64) {
-	if len(x) != len(y) {
-		panic("mathx: LinearFit length mismatch")
-	}
-	if len(x) < 2 {
-		panic("mathx: LinearFit needs at least two points")
-	}
-	n := float64(len(x))
-	var sx, sy, sxx, sxy, syy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-		sxx += x[i] * x[i]
-		sxy += x[i] * y[i]
-		syy += y[i] * y[i]
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		panic("mathx: LinearFit with constant x")
-	}
-	a = (n*sxy - sx*sy) / den
-	b = (sy - a*sx) / n
-	ssTot := syy - sy*sy/n
-	if ssTot == 0 {
-		return a, b, 1 // all y identical: perfect (degenerate) fit
-	}
-	ssRes := 0.0
-	for i := range x {
-		d := y[i] - (a*x[i] + b)
-		ssRes += d * d
-	}
-	r2 = 1 - ssRes/ssTot
-	return a, b, r2
-}
-
 // MeanInts is a convenience wrapper converting integer measurements
 // (step counts, queue lengths) to their mean.
 func MeanInts(xs []int) float64 {

@@ -3,7 +3,6 @@ package mathx
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestSummarizeBasics(t *testing.T) {
@@ -96,56 +95,6 @@ func TestQuantileHandComputedTable(t *testing.T) {
 				t.Errorf("%s: %s = %v, want %v", c.name, q.label, q.got, q.want)
 			}
 		}
-	}
-}
-
-func TestLinearFitExact(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	y := []float64{5, 7, 9, 11} // y = 2x + 3
-	a, b, r2 := LinearFit(x, y)
-	if math.Abs(a-2) > 1e-12 || math.Abs(b-3) > 1e-12 || math.Abs(r2-1) > 1e-12 {
-		t.Fatalf("LinearFit = (%v, %v, %v), want (2, 3, 1)", a, b, r2)
-	}
-}
-
-func TestLinearFitRecoversSlope(t *testing.T) {
-	check := func(slopeRaw, interceptRaw int8) bool {
-		slope := float64(slopeRaw)
-		intercept := float64(interceptRaw)
-		var x, y []float64
-		for i := 1; i <= 10; i++ {
-			x = append(x, float64(i))
-			y = append(y, slope*float64(i)+intercept)
-		}
-		a, b, _ := LinearFit(x, y)
-		return math.Abs(a-slope) < 1e-9 && math.Abs(b-intercept) < 1e-9
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLinearFitConstantY(t *testing.T) {
-	a, b, r2 := LinearFit([]float64{1, 2, 3}, []float64{4, 4, 4})
-	if a != 0 || b != 4 || r2 != 1 {
-		t.Fatalf("constant-y fit = (%v, %v, %v)", a, b, r2)
-	}
-}
-
-func TestLinearFitPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"mismatch":   func() { LinearFit([]float64{1}, []float64{1, 2}) },
-		"too short":  func() { LinearFit([]float64{1}, []float64{1}) },
-		"constant x": func() { LinearFit([]float64{2, 2}, []float64{1, 3}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("LinearFit %s should panic", name)
-				}
-			}()
-			f()
-		}()
 	}
 }
 

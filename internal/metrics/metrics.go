@@ -1,15 +1,12 @@
-// Package metrics provides the reporting primitives the benchmark
+// Package metrics provides the reporting primitive the benchmark
 // harness uses to regenerate the paper's results: aligned ASCII
-// tables (one per experiment) and labelled measurement series with
-// linear-fit summaries ("measured time = a·n + b").
+// tables, one per experiment.
 package metrics
 
 import (
 	"fmt"
 	"io"
 	"strings"
-
-	"pramemu/internal/mathx"
 )
 
 // Table is a titled, column-aligned ASCII table.
@@ -35,11 +32,6 @@ func (t *Table) AddRow(cells ...string) {
 			len(cells), len(t.headers)))
 	}
 	t.rows = append(t.rows, cells)
-}
-
-// AddRowf appends a row of formatted values.
-func (t *Table) AddRowf(format string, args ...interface{}) {
-	t.AddRow(strings.Split(fmt.Sprintf(format, args...), "|")...)
 }
 
 // Rows returns the number of data rows.
@@ -82,40 +74,4 @@ func (t *Table) String() string {
 	var b strings.Builder
 	t.Fprint(&b)
 	return b.String()
-}
-
-// Series is a labelled sequence of (x, y) measurements with repeats:
-// one experiment sweep, e.g. x = mesh side n, y = routing rounds.
-type Series struct {
-	Label string
-	xs    []float64
-	ys    []float64
-}
-
-// NewSeries creates an empty series.
-func NewSeries(label string) *Series { return &Series{Label: label} }
-
-// Add records a measurement.
-func (s *Series) Add(x, y float64) {
-	s.xs = append(s.xs, x)
-	s.ys = append(s.ys, y)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.xs) }
-
-// Fit returns the least-squares slope, intercept and r² of y against
-// x — the "measured constant" in front of the theorem's leading term.
-func (s *Series) Fit() (slope, intercept, r2 float64) {
-	return mathx.LinearFit(s.xs, s.ys)
-}
-
-// RatioSummary summarizes y/x over all points (mean and max), a
-// scale-free way to report "time per unit of diameter".
-func (s *Series) RatioSummary() mathx.Summary {
-	ratios := make([]float64, len(s.xs))
-	for i := range s.xs {
-		ratios[i] = s.ys[i] / s.xs[i]
-	}
-	return mathx.Summarize(ratios)
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -21,14 +20,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableAddRowf(t *testing.T) {
-	tb := NewTable("t", "a", "b")
-	tb.AddRowf("%d|%.2f", 3, 1.5)
-	if !strings.Contains(tb.String(), "1.50") {
-		t.Fatal("AddRowf formatting lost")
-	}
-}
-
 func TestTablePanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"no columns": func() { NewTable("x") },
@@ -42,29 +33,5 @@ func TestTablePanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestSeriesFit(t *testing.T) {
-	s := NewSeries("mesh")
-	for n := 1; n <= 8; n++ {
-		s.Add(float64(n), 2*float64(n)+5)
-	}
-	slope, intercept, r2 := s.Fit()
-	if math.Abs(slope-2) > 1e-9 || math.Abs(intercept-5) > 1e-9 || r2 < 0.999 {
-		t.Fatalf("fit = %v %v %v", slope, intercept, r2)
-	}
-	if s.Len() != 8 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-}
-
-func TestSeriesRatioSummary(t *testing.T) {
-	s := NewSeries("r")
-	s.Add(10, 20)
-	s.Add(20, 60)
-	sum := s.RatioSummary()
-	if sum.Min != 2 || sum.Max != 3 || sum.Mean != 2.5 {
-		t.Fatalf("ratio summary %+v", sum)
 	}
 }

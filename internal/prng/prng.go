@@ -139,12 +139,3 @@ func (s *Source) Shuffle(p []int) {
 		p[i], p[j] = p[j], p[i]
 	}
 }
-
-// ShuffleSlice permutes the first n elements addressed by swap
-// uniformly at random, for callers with non-int element types.
-func (s *Source) ShuffleSlice(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}

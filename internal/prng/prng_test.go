@@ -169,22 +169,6 @@ func TestPermUniformFirstElement(t *testing.T) {
 	}
 }
 
-func TestShuffleSliceMatchesShuffle(t *testing.T) {
-	a := New(21)
-	b := New(21)
-	p := a.Perm(50)
-	q := make([]int, 50)
-	for i := range q {
-		q[i] = i
-	}
-	b.ShuffleSlice(len(q), func(i, j int) { q[i], q[j] = q[j], q[i] })
-	for i := range p {
-		if p[i] != q[i] {
-			t.Fatal("ShuffleSlice must consume randomness exactly like Shuffle")
-		}
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	var sink uint64

@@ -33,14 +33,12 @@ type Options struct {
 	// Combine enables the message-combining construction (it is
 	// integral to Ranade's protocol; the flag gates it for ablations).
 	Combine bool
-	// Seed is accepted for interface symmetry; the forward pass is
-	// deterministic given the hash placement.
-	Seed uint64
-	// Workers is the forward-pass worker count: 0 selects GOMAXPROCS,
-	// 1 the sequential loop. Any value yields identical results — rows
-	// within a level are independent (each directed butterfly link has
-	// exactly one writer), and reply-link insertions are committed in
-	// sorted (link, packet ID) order.
+	// Workers is the worker count of the forward pass and of the reply
+	// pass's engine: 0 selects GOMAXPROCS, 1 the sequential loop. Any
+	// value yields identical results — rows within a level are
+	// independent (each directed butterfly link has exactly one
+	// writer), and the engine inserts replies in (link, packet ID)
+	// order.
 	Workers int
 }
 
@@ -140,16 +138,6 @@ type node struct {
 	done [2]bool
 }
 
-// Route emulates one step: each request packet travels from processor
-// row Src (level 0) to module row Dst (level k), combining same-Addr
-// reads; reads then return replies along reversed paths. Packet IDs
-// must be unique. Keys sort by (Dst, Addr) so the stream invariant
-// holds per link while equal-address packets for the same module meet
-// adjacently and combine.
-func (n *Network) Route(pkts []*packet.Packet, combine bool, seed uint64) Stats {
-	return n.RouteOpts(pkts, Options{Combine: combine, Seed: seed})
-}
-
 // stepEffects accumulates one worker's forward-pass side effects for a
 // round; chunks merge commutatively (sums and maxima), so the merged
 // result is independent of the worker layout.
@@ -167,8 +155,13 @@ func (e *stepEffects) reset() {
 	e.spawned = e.spawned[:0]
 }
 
-// RouteOpts is Route with explicit Options (notably Workers).
-func (n *Network) RouteOpts(pkts []*packet.Packet, opts Options) Stats {
+// Route emulates one step: each request packet travels from processor
+// row Src (level 0) to module row Dst (level k), combining same-Addr
+// reads when opts.Combine is set; reads then return replies along
+// reversed paths. Packet IDs must be unique. Keys sort by (Dst, Addr)
+// so the stream invariant holds per link while equal-address packets
+// for the same module meet adjacently and combine.
+func (n *Network) Route(pkts []*packet.Packet, opts Options) Stats {
 	combine := opts.Combine
 	st := Stats{}
 	k := n.k
@@ -213,7 +206,8 @@ func (n *Network) RouteOpts(pkts []*packet.Packet, opts Options) Stats {
 	want := len(pkts)
 	round := 0
 	maxRounds := 40 * (k + 1) * (maxPerRow(sources) + 1)
-	replies := newReplyPass(n, &st)
+	replies := newReplyPass(n, opts.Workers)
+	liveReplies := 0
 	// Rows within a level are independent — every directed butterfly
 	// link has exactly one writer per round — so the per-level node
 	// loop shards over the pool; per-worker effects merge after the
@@ -221,7 +215,7 @@ func (n *Network) RouteOpts(pkts []*packet.Packet, opts Options) Stats {
 	pool := engine.NewPool(opts.Workers)
 	effects := make([]stepEffects, pool.Workers())
 	par := n.rows >= 256
-	for delivered < want || replies.pending() {
+	for delivered < want || liveReplies > 0 {
 		round++
 		if round > maxRounds {
 			panic(fmt.Sprintf("ranade: no progress after %d rounds (protocol stall)", round))
@@ -253,12 +247,10 @@ func (n *Network) RouteOpts(pkts []*packet.Packet, opts Options) Stats {
 			if eff.requestRounds > st.RequestRounds {
 				st.RequestRounds = eff.requestRounds
 			}
-			for _, p := range eff.spawned {
-				replies.spawn(p)
-			}
+			replies.spawned = append(replies.spawned, eff.spawned...)
 		}
-		// 3. Replies advance one hop.
-		replies.step(round)
+		// 3. Fresh replies enter and every reply advances one hop.
+		liveReplies = replies.step()
 		if delivered == want && st.RequestRounds == 0 {
 			st.RequestRounds = round
 		}
@@ -273,9 +265,9 @@ func (n *Network) RouteOpts(pkts []*packet.Packet, opts Options) Stats {
 			}
 		}
 	}
-	if rq := replies.maxQueue; rq > st.MaxQueue {
-		st.MaxQueue = rq
-	}
+	rs := replies.eng.Finish()
+	st.DeliveredReplies = rs.DeliveredReplies
+	st.MaxQueue = max(st.MaxQueue, rs.MaxQueue)
 	return st
 }
 

@@ -26,7 +26,7 @@ func TestPermutationDelivers(t *testing.T) {
 			addrs[i] = uint64(i) * 7
 		}
 		pkts := readPackets(n, perm, addrs)
-		stats := net.Route(pkts, false, 1)
+		stats := net.Route(pkts, Options{})
 		if stats.DeliveredRequests != n {
 			t.Fatalf("k=%d: delivered %d/%d", k, stats.DeliveredRequests, n)
 		}
@@ -49,7 +49,7 @@ func TestWritesGetNoReplies(t *testing.T) {
 		pkts[i] = packet.New(i, i, dst, packet.WriteRequest)
 		pkts[i].Addr = uint64(i)
 	}
-	stats := net.Route(pkts, false, 1)
+	stats := net.Route(pkts, Options{})
 	if stats.DeliveredRequests != n || stats.DeliveredReplies != 0 {
 		t.Fatalf("stats %+v", stats)
 	}
@@ -65,7 +65,7 @@ func TestHotSpotCombinesToOne(t *testing.T) {
 		addrs[i] = 42
 	}
 	pkts := readPackets(n, dsts, addrs)
-	stats := net.Route(pkts, true, 1)
+	stats := net.Route(pkts, Options{Combine: true})
 	if stats.DeliveredRequests != n {
 		t.Fatalf("delivered %d/%d", stats.DeliveredRequests, n)
 	}
@@ -91,8 +91,8 @@ func TestHotSpotWithoutCombiningSerializes(t *testing.T) {
 		dsts[i] = 13
 		addrs[i] = 42
 	}
-	with := net.Route(readPackets(n, dsts, addrs), true, 1)
-	without := net.Route(readPackets(n, dsts, addrs), false, 1)
+	with := net.Route(readPackets(n, dsts, addrs), Options{Combine: true})
+	without := net.Route(readPackets(n, dsts, addrs), Options{})
 	if without.Rounds < 2*with.Rounds {
 		t.Fatalf("combining speedup missing: with=%d without=%d", with.Rounds, without.Rounds)
 	}
@@ -112,7 +112,7 @@ func TestCombinedValuesPropagate(t *testing.T) {
 	for _, p := range pkts {
 		p.Value = 999
 	}
-	net.Route(pkts, true, 1)
+	net.Route(pkts, Options{Combine: true})
 	for _, p := range pkts {
 		if p.Kind != packet.ReadReply {
 			t.Fatalf("packet %d kind %v", p.ID, p.Kind)
@@ -134,8 +134,8 @@ func TestDeterministic(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint64(i)
 	}
-	a := net.Route(readPackets(n, perm, addrs), true, 9)
-	b := net.Route(readPackets(n, perm, addrs), true, 9)
+	a := net.Route(readPackets(n, perm, addrs), Options{Combine: true})
+	b := net.Route(readPackets(n, perm, addrs), Options{Combine: true})
 	if a != b {
 		t.Fatalf("nondeterministic:\n%+v\n%+v", a, b)
 	}
@@ -152,7 +152,7 @@ func TestManyToFewModules(t *testing.T) {
 		dsts[i] = i % 4
 		addrs[i] = uint64(i)
 	}
-	stats := net.Route(readPackets(n, dsts, addrs), true, 1)
+	stats := net.Route(readPackets(n, dsts, addrs), Options{Combine: true})
 	if stats.DeliveredRequests != n || stats.DeliveredReplies != n {
 		t.Fatalf("stats %+v", stats)
 	}
@@ -173,7 +173,7 @@ func TestPanics(t *testing.T) {
 					t.Errorf("%s should panic", name)
 				}
 			}()
-			net.Route(pkts, false, 1)
+			net.Route(pkts, Options{})
 		}()
 	}
 	defer func() {
@@ -186,7 +186,7 @@ func TestPanics(t *testing.T) {
 
 func TestEmptyRoute(t *testing.T) {
 	net := New(3)
-	stats := net.Route(nil, false, 1)
+	stats := net.Route(nil, Options{})
 	if stats.DeliveredRequests != 0 {
 		t.Fatalf("stats %+v", stats)
 	}

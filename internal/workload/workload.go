@@ -22,10 +22,10 @@ import (
 
 // Grid is the structural surface of the n x n mesh this package
 // needs: the mesh-package adapter through which the grid-specific
-// generators (TransposeInto, MeshLocal) see the topology without this
-// package importing internal/mesh. *mesh.Grid satisfies it; callers
-// outside the mesh experiments should reach these generators through
-// the registry's capability gates instead of passing grids directly.
+// generator MeshLocal sees the topology without this package
+// importing internal/mesh. *mesh.Grid satisfies it; callers outside
+// the mesh experiments should reach the generator through the
+// registry's capability gates instead of passing grids directly.
 type Grid interface {
 	Side() int
 	Nodes() int
@@ -366,22 +366,6 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-// TransposeInto returns the mesh transpose permutation (r, c) ->
-// (c, r), the adversarial pattern for greedy dimension-ordered mesh
-// routing, allocated from arena a (heap-allocated when a is nil).
-func TransposeInto(a *packet.Arena, g Grid) []*packet.Packet {
-	n := g.Side()
-	pkts := make([]*packet.Packet, 0, g.Nodes())
-	id := 0
-	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
-			pkts = append(pkts, packet.NewIn(a, id, g.Node(r, c), g.Node(c, r), packet.Transit))
-			id++
-		}
-	}
-	return pkts
 }
 
 // IsSquare reports whether nodes is a perfect square (the

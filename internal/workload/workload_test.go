@@ -236,8 +236,10 @@ func TestMeshLocalWithinDistance(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
+	// The square transpose on the mesh's row-major node ids is the mesh
+	// transpose (r, c) -> (c, r).
 	g := mesh.New(8)
-	pkts := TransposeInto(nil, g)
+	pkts := TransposeSquareInto(nil, g.Nodes(), packet.Transit)
 	if len(pkts) != 64 {
 		t.Fatalf("%d packets", len(pkts))
 	}
