@@ -3,11 +3,11 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"pramemu/internal/packet"
 	"pramemu/internal/prng"
-	"pramemu/internal/queue"
 )
 
 // Abort is the panic value the engine unwinds with when its
@@ -39,17 +39,17 @@ type Handler func(ctx *Ctx, a Arrival, round int)
 // destination link's non-empty queue it may absorb the packet into a
 // queued one (Theorem 2.6 message combining) and return true to skip
 // the insertion. It runs on the shard owning the queue, so it may
-// freely mutate queued packets.
-type Combiner func(ctx *Ctx, q queue.Discipline, a Arrival) bool
+// freely mutate queued packets — but not their Next links.
+type Combiner func(ctx *Ctx, l *Link, a Arrival) bool
 
 // flatKeyLimit caps the declared key space the engine will back with
-// flat slice-indexed tables: one table slot is one queue.Discipline
-// interface value (two words), so the cap bounds flat-table memory at
-// 256 MiB worst case. Beyond it the engine switches to paged tables
-// (StatePaged), which price the full declaration at 8 bytes per
-// pageSize keys of directory and allocate slot pages only on first
-// touch — so any addressable key space stays on the dense fast path,
-// bounded by touched keys instead of declared keys.
+// flat slice-indexed tables: one table slot is one Link (two words),
+// so the cap bounds flat-table memory at 256 MiB worst case. Beyond it
+// the engine switches to paged tables (StatePaged), which price the
+// full declaration at 8 bytes per pageSize keys of directory and
+// allocate slot pages only on first touch — so any addressable key
+// space stays on the dense fast path, bounded by touched keys instead
+// of declared keys.
 const flatKeyLimit = 1 << 24
 
 // pageBits sizes the paged-table pages: 1<<pageBits slots per page.
@@ -80,9 +80,11 @@ type Options struct {
 	Workers int
 	// Seed derives the per-shard PRNG streams (Ctx.Rand).
 	Seed uint64
-	// NewQueue constructs a link queue; nil selects plain FIFO, the
-	// discipline of §2.2.1.
-	NewQueue func() queue.Discipline
+	// Less orders every link queue: a queued packet a crosses before b
+	// when Less(a, b). It must be a strict total order (break ties on
+	// packet ID) over packets that do not change while queued. Nil
+	// selects plain FIFO, the discipline of §2.2.1.
+	Less func(a, b *packet.Packet) bool
 	// MaxKey declares that every key the run will Emit lies in
 	// [0, MaxKey); Emit panics on a key outside it, whatever layout
 	// backs the run. Simulators whose link encodings are dense by
@@ -197,25 +199,26 @@ func (c *Ctx) Rand() *prng.Source { return c.rand }
 
 // shard owns a partition of the link queues. Its link state is one of
 // three layouts — a flat table, a paged table or a hashed index — and the
-// round loop reads it only through queue and setQueue; drain, push and
-// liveness all run on the active-key list, which every layout keeps.
+// round loop reads it only through link, insert and emptied; drain,
+// push and liveness all run on the active-key list, which every layout
+// keeps.
 type shard struct {
 	ctx Ctx
-	// table is the flat (StateDense) layout: the queue of key k lives
+	// table is the flat (StateDense) layout: the Link of key k lives
 	// at table[k>>shift], since the low shift bits select the shard.
-	table []queue.Discipline
-	// pages is the paged (StatePaged) layout: the queue of key k
+	table []Link
+	// pages is the paged (StatePaged) layout: the Link of key k
 	// lives at pages[(k>>shift)>>pageBits][(k>>shift)&pageMask], with
 	// pages allocated on first touch so memory tracks touched keys,
 	// not the declared key space. pageCount counts allocated pages
 	// (pages are retained once touched, keeping the warm loop
 	// allocation-free).
-	pages     []*[pageSize]queue.Discipline
+	pages     []*[pageSize]Link
 	pageCount int
 	// pageFree holds drained pages harvested by an adopted Lease;
 	// first touch draws from it before the heap. Recycled pages are
-	// all-nil by the drain invariant, so reuse is bit-invisible.
-	pageFree []*[pageSize]queue.Discipline
+	// all-empty by the drain invariant, so reuse is bit-invisible.
+	pageFree []*[pageSize]Link
 	// links is the hashed (StateHashed) layout, an open-addressed
 	// index keyed by link key (see linkIndex).
 	links linkIndex
@@ -228,7 +231,6 @@ type shard struct {
 	// layout's TableBytes estimate.
 	peakLive int
 	shift    uint
-	free     []queue.Discipline
 	inbox    []Arrival // push-phase gather buffer, reused every round
 	scratch  []Arrival // radix-sort spare buffer, reused every round
 }
@@ -238,7 +240,7 @@ type Engine struct {
 	pool      *Pool
 	shards    []shard
 	mask      uint64
-	newQueue  func() queue.Discipline
+	less      func(a, b *packet.Packet) bool
 	state     State
 	degraded  bool
 	seed      uint64
@@ -283,10 +285,6 @@ func New(opts Options) *Engine {
 	for nshards < pool.Workers() && nshards < 64 {
 		nshards *= 2
 	}
-	newQueue := opts.NewQueue
-	if newQueue == nil {
-		newQueue = func() queue.Discipline { return queue.NewFIFO(4) }
-	}
 	shift := uint(bits.TrailingZeros(uint(nshards)))
 	state, degraded := StateHashed, false
 	tableSize, numPages := 0, 0
@@ -324,7 +322,7 @@ func New(opts Options) *Engine {
 		pool:      pool,
 		shards:    make([]shard, nshards),
 		mask:      uint64(nshards - 1),
-		newQueue:  newQueue,
+		less:      opts.Less,
 		state:     state,
 		degraded:  degraded,
 		seed:      opts.Seed,
@@ -354,7 +352,7 @@ func New(opts Options) *Engine {
 			if adopt != nil {
 				sh.table = adopt[i].table
 			} else {
-				sh.table = make([]queue.Discipline, tableSize)
+				sh.table = make([]Link, tableSize)
 			}
 			sh.shift = shift
 		case state == StatePaged:
@@ -362,7 +360,7 @@ func New(opts Options) *Engine {
 				sh.pages = adopt[i].pages
 				sh.pageFree = adopt[i].pageFree
 			} else {
-				sh.pages = make([]*[pageSize]queue.Discipline, numPages)
+				sh.pages = make([]*[pageSize]Link, numPages)
 			}
 			sh.shift = shift
 		default:
@@ -422,9 +420,10 @@ func shardOf(key, mask uint64) int {
 // exactly Start, Step until nothing is live, and Finish.
 //
 // A steady-state round allocates nothing on any layout: link tables,
-// pages, link-index slots, active lists, gather and sort buffers and
-// recycled queues all reach their high-water capacity during warm-up
-// and are reused thereafter (the zero-allocation invariant asserted by
+// pages, link-index slots, active lists and gather and sort buffers
+// all reach their high-water capacity during warm-up and are reused
+// thereafter, and queued packets chain through their own Next links
+// (the zero-allocation invariant asserted by
 // TestSteadyStateRoundIsAllocationFree).
 func (e *Engine) Run(inject func(ctx *Ctx), handle Handler, combine Combiner) Stats {
 	if e.event != nil {
@@ -460,6 +459,7 @@ func (e *Engine) Step(inject func(ctx *Ctx)) (live int) {
 		e.pool.RunIf(false, len(e.shards), e.pushFn)
 	}
 	e.checkContext()
+	checkRound("round", int64(e.round)+1)
 	e.round++
 	if live = e.live(); live > 0 {
 		par := live >= parallelThreshold
@@ -540,20 +540,19 @@ func (e *Engine) clearScratch() {
 
 // drain pops the head of every queue in the shard — one packet crosses
 // each link per round — accounts its queueing delay, and hands it to
-// the handler. Emptied queues are recycled. The iteration walks the
-// compact active-key list with swap-removal on every layout; every key
-// present at entry is visited exactly once, because the handler can
-// only append to next-round buffers, never to this list.
+// the handler. The iteration walks the compact active-key list with
+// swap-removal on every layout; every key present at entry is visited
+// exactly once, because the handler can only append to next-round
+// buffers, never to this list.
 func (sh *shard) drain(round int, handle Handler) {
 	sh.ctx.round = round
 	for i := 0; i < len(sh.active); {
 		key := sh.active[i]
-		q := sh.queue(key)
-		p := q.Pop()
-		p.Delay += round - p.EnqueuedAt - 1
-		if q.Len() == 0 {
-			sh.setQueue(key, nil)
-			sh.free = append(sh.free, q)
+		l := sh.link(key)
+		p := l.pop()
+		p.Delay += round - int(p.EnqueuedAt) - 1
+		if l.n == 0 {
+			sh.emptied(key)
 			last := len(sh.active) - 1
 			sh.active[i] = sh.active[last]
 			sh.active = sh.active[:last]
@@ -582,53 +581,55 @@ func (e *Engine) pushShard(s, round int, combine Combiner) {
 	}
 	sorted, spare := sortArrivals(buf, sh.scratch)
 	for _, a := range sorted {
-		q := sh.queue(a.Key)
-		if combine != nil && q != nil && combine(&sh.ctx, q, a) {
-			continue
-		}
-		if q == nil {
-			q = sh.takeQueue(e)
-			sh.setQueue(a.Key, q)
+		l := sh.insert(a.Key)
+		if l.n == 0 {
 			sh.active = append(sh.active, a.Key)
 			sh.peakLive = max(sh.peakLive, len(sh.active))
+		} else if combine != nil && combine(&sh.ctx, l, a) {
+			continue
 		}
-		a.P.EnqueuedAt = round
-		q.Push(a.P)
-		if l := q.Len(); l > sh.ctx.stats.MaxQueue {
-			sh.ctx.stats.MaxQueue = l
+		a.P.EnqueuedAt = int32(round)
+		l.push(a.P, e.less)
+		if l.n > sh.ctx.stats.MaxQueue {
+			sh.ctx.stats.MaxQueue = l.n
 		}
 	}
 	sh.inbox, sh.scratch = sorted[:0], spare[:0]
 }
 
-// queue returns the queue of link key, or nil when the link is empty.
-// It and setQueue are the only round-loop code that reads the layout.
-func (sh *shard) queue(key uint64) queue.Discipline {
+// checkRound panics when round or tick t no longer fits the int32
+// Packet.EnqueuedAt stamp, which would silently corrupt Delay.
+func checkRound(what string, t int64) {
+	if t > math.MaxInt32 {
+		panic(fmt.Sprintf("engine: %s %d overflows the int32 Packet.EnqueuedAt stamp", what, t))
+	}
+}
+
+// link returns the Link of a live key. It, insert and emptied are the
+// only round-loop code that reads the layout.
+func (sh *shard) link(key uint64) *Link {
 	idx := key >> sh.shift
 	switch {
 	case sh.table != nil:
-		return sh.table[idx]
+		return &sh.table[idx]
 	case sh.pages != nil:
-		if pg := sh.pages[idx>>pageBits]; pg != nil {
-			return pg[idx&pageMask]
-		}
-		return nil
+		return &sh.pages[idx>>pageBits][idx&pageMask]
 	default:
 		return sh.links.get(key)
 	}
 }
 
-// setQueue stores the queue of link key; nil marks the link empty.
-// A paged store allocates the key's page on first touch (recycling a
-// leased page when one is free). A nil store only ever empties a live
-// queue, whose page exists, so combined-away arrivals cost no page;
-// pages are retained once allocated, so a warm round stays
-// allocation-free.
-func (sh *shard) setQueue(key uint64, q queue.Discipline) {
+// insert returns the Link of key for an arrival. A paged insert
+// allocates the key's page on first touch (recycling a leased page
+// when one is free), and a hashed one claims an index slot; either
+// happens only for an empty link, which the arrival then joins, so
+// combined-away arrivals cost no page. Pages are retained once
+// allocated, so a warm round stays allocation-free.
+func (sh *shard) insert(key uint64) *Link {
 	idx := key >> sh.shift
 	switch {
 	case sh.table != nil:
-		sh.table[idx] = q
+		return &sh.table[idx]
 	case sh.pages != nil:
 		pg := sh.pages[idx>>pageBits]
 		if pg == nil {
@@ -636,34 +637,29 @@ func (sh *shard) setQueue(key uint64, q queue.Discipline) {
 			sh.pages[idx>>pageBits] = pg
 			sh.pageCount++
 		}
-		pg[idx&pageMask] = q
-	case q == nil:
-		sh.links.del(key)
+		return &pg[idx&pageMask]
 	default:
-		sh.links.put(key, q)
+		return sh.links.insert(key)
+	}
+}
+
+// emptied releases the hashed index slot of a key whose last packet a
+// pop has just taken; an empty flat or paged slot needs no release.
+func (sh *shard) emptied(key uint64) {
+	if sh.table == nil && sh.pages == nil {
+		sh.links.del(key)
 	}
 }
 
 // takePage recycles a lease-harvested page or constructs a fresh one.
-// Recycled pages are all-nil by the drain invariant, so first-touch
+// Recycled pages are all-empty by the drain invariant, so first-touch
 // behavior is identical either way.
-func (sh *shard) takePage() *[pageSize]queue.Discipline {
+func (sh *shard) takePage() *[pageSize]Link {
 	if n := len(sh.pageFree); n > 0 {
 		pg := sh.pageFree[n-1]
 		sh.pageFree[n-1] = nil
 		sh.pageFree = sh.pageFree[:n-1]
 		return pg
 	}
-	return new([pageSize]queue.Discipline)
-}
-
-// takeQueue recycles a drained queue or constructs a fresh one.
-func (sh *shard) takeQueue(e *Engine) queue.Discipline {
-	if n := len(sh.free); n > 0 {
-		q := sh.free[n-1]
-		sh.free[n-1] = nil
-		sh.free = sh.free[:n-1]
-		return q
-	}
-	return e.newQueue()
+	return new([pageSize]Link)
 }

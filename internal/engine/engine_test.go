@@ -1,11 +1,15 @@
 package engine
 
 import (
+	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"pramemu/internal/packet"
-	"pramemu/internal/queue"
 )
 
 func TestPoolCoversRangeOnce(t *testing.T) {
@@ -277,14 +281,19 @@ func TestDenseRejectsOutOfRangeKey(t *testing.T) {
 	}
 }
 
+// higherIDFirst is a non-FIFO Options.Less: the sorted insert walks
+// the chain instead of appending at the tail.
+func higherIDFirst(a, b *packet.Packet) bool { return a.ID > b.ID }
+
 // TestSteadyStateRoundIsAllocationFree asserts the engine's
-// zero-allocation invariant: once the tables, buffers and recycled
-// queues are warm, an entire sequential Run — injection, every drain
-// and every radix push phase — performs zero heap allocations. Every
-// layout preserves it: pages allocate on first touch and are retained,
-// and the hashed layout's link index keeps its grown slots. A stepped
-// run whose every round injects through one prebuilt closure, as
-// Ranade's reply pass does, holds it too.
+// zero-allocation invariant: once the tables and buffers are warm, an
+// entire sequential Run — injection, every drain and every radix push
+// phase — performs zero heap allocations. Every layout preserves it:
+// pages allocate on first touch and are retained, and the hashed
+// layout's link index keeps its grown slots. A stepped run whose every
+// round injects through one prebuilt closure, as Ranade's reply pass
+// does, holds it too, and so does a sorted (Options.Less) run, the
+// mesh's path.
 func TestSteadyStateRoundIsAllocationFree(t *testing.T) {
 	const npkts, length = 64, 512
 	pkts := make([]*packet.Packet, npkts)
@@ -320,6 +329,7 @@ func TestSteadyStateRoundIsAllocationFree(t *testing.T) {
 		{"paged", Options{Workers: 1, Seed: 7, MaxKey: length, MemBudget: pagedBudget}, StatePaged, false},
 		{"hashed", Options{Workers: 1, Seed: 7, MaxKey: length, MemBudget: 1}, StateHashed, false},
 		{"stepped", Options{Workers: 1, Seed: 7, MaxKey: length}, StateDense, true},
+		{"sorted", Options{Workers: 1, Seed: 7, MaxKey: length, Less: higherIDFirst}, StateDense, false},
 	} {
 		eng := New(c.opts)
 		run := func() { eng.Run(inject, handle, nil) }
@@ -337,10 +347,8 @@ func TestSteadyStateRoundIsAllocationFree(t *testing.T) {
 				eng.Finish()
 			}
 		}
-		// Warm-up: tables, gather buffers and the queue free list reach
-		// their high-water capacity. Several runs are needed because
-		// recycled queues rotate through links and only grow their rings
-		// lazily on the first burst each one serves.
+		// Warm-up: tables, pages, index slots and gather buffers reach
+		// their high-water capacity.
 		for i := 0; i < 50; i++ {
 			run()
 		}
@@ -458,7 +466,7 @@ func TestCombinerAbsorbs(t *testing.T) {
 		ctx.Emit(0, b)
 	}, func(ctx *Ctx, ar Arrival, round int) {
 		ctx.Stats().DeliveredRequests += ar.P.TotalCombined()
-	}, func(ctx *Ctx, q queue.Discipline, ar Arrival) bool {
+	}, func(ctx *Ctx, q *Link, ar Arrival) bool {
 		var host *packet.Packet
 		q.Each(func(c *packet.Packet) bool {
 			if c.Addr == ar.P.Addr {
@@ -506,27 +514,150 @@ func TestShardRandIsStablePerShard(t *testing.T) {
 	}
 }
 
-func TestQueueRecycling(t *testing.T) {
-	// A long chain reuses queues: after the run every shard's free list
-	// holds recycled queues rather than leaking one per key.
-	eng := New(Options{Workers: 1})
-	p := packet.New(0, 0, 0, packet.Transit)
-	const length = 500
-	eng.Run(func(ctx *Ctx) {
-		ctx.Emit(0, p)
-	}, func(ctx *Ctx, a Arrival, round int) {
-		if int(a.Key)+1 < length {
-			ctx.Emit(a.Key+1, a.P)
+// checkEmptyLinks fails unless every slot in links is the zero Link.
+func checkEmptyLinks(t *testing.T, what string, links []Link) {
+	t.Helper()
+	for i, l := range links {
+		if l != (Link{}) {
+			t.Fatalf("%s: slot %d holds %d packets after the run drained", what, i, l.n)
 		}
-	}, nil)
-	total := 0
-	for i := range eng.shards {
-		total += len(eng.shards[i].free)
 	}
-	if total == 0 {
-		t.Fatal("no queues recycled over a 500-link chain")
+}
+
+// TestDrainedRunLeavesEmptyLinks replaces the old queue free-list
+// check: a completed run leaves every flat slot, page slot and
+// link-index slot the zero Link, and every delivered packet unchained
+// (Next == nil), on all three layouts. The dense and paged runs go
+// through a Lease, so the second pass also checks a run on adopted
+// buffers, and the check reads the slots where the lease holds them.
+func TestDrainedRunLeavesEmptyLinks(t *testing.T) {
+	const npkts, starts, length = 200, 10, 60
+	for _, c := range []struct {
+		name string
+		opts Options
+		want State
+	}{
+		{"flat", Options{Workers: 2, Seed: 3, MaxKey: length}, StateDense},
+		{"paged", Options{Workers: 2, Seed: 3, MaxKey: length, MemBudget: pagedBudget}, StatePaged},
+		{"hashed", Options{Workers: 2, Seed: 3, MaxKey: length, MemBudget: 1}, StateHashed},
+	} {
+		lease := &Lease{}
+		for pass := 0; pass < 2; pass++ {
+			opts := c.opts
+			opts.Lease = lease
+			eng := New(opts)
+			if eng.State() != c.want {
+				t.Fatalf("%s: state %v, want %v", c.name, eng.State(), c.want)
+			}
+			pkts := make([]*packet.Packet, npkts)
+			eng.Run(func(ctx *Ctx) {
+				for i := range pkts {
+					pkts[i] = packet.New(i, 0, 0, packet.Transit)
+					ctx.Emit(uint64(i%starts), pkts[i])
+				}
+			}, func(ctx *Ctx, a Arrival, round int) {
+				if next := a.Key + 1; next < length {
+					ctx.Emit(next, a.P)
+				}
+			}, nil)
+			what := fmt.Sprintf("%s pass %d", c.name, pass)
+			for _, p := range pkts {
+				if p.Next != nil {
+					t.Fatalf("%s: delivered packet %d still chained", what, p.ID)
+				}
+			}
+			switch c.want {
+			case StateDense:
+				for _, ls := range lease.shards {
+					checkEmptyLinks(t, what+" flat table", ls.table)
+				}
+			case StatePaged:
+				pages := 0
+				for _, ls := range lease.shards {
+					for _, pg := range ls.pageFree {
+						checkEmptyLinks(t, what+" page", pg[:])
+						pages++
+					}
+				}
+				if pages == 0 {
+					t.Fatalf("%s: no touched page reached the lease", what)
+				}
+			default:
+				for i := range eng.shards {
+					ix := &eng.shards[i].links
+					checkEmptyLinks(t, what+" link index", ix.links)
+					if ix.n != 0 || slices.ContainsFunc(ix.keys, func(k uint64) bool { return k != 0 }) {
+						t.Fatalf("%s: link index keeps %d entries or a stale key", what, ix.n)
+					}
+				}
+			}
+		}
 	}
-	if total > 4 {
-		t.Fatalf("%d queues allocated for a single in-flight packet", total)
+}
+
+// TestLinkSlotSize pins a Link at queueSlotBytes, the per-slot price
+// MemStats charges: a larger Link would make TableBytes understate the
+// tables, and changing queueSlotBytes moves the table_bytes and
+// b_per_node columns of every sweeps/expected artifact.
+func TestLinkSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(Link{}); got != queueSlotBytes {
+		t.Fatalf("unsafe.Sizeof(Link{}) = %d, want queueSlotBytes = %d: table_bytes and b_per_node in sweeps/expected/*.jsonl price slots at that size",
+			got, queueSlotBytes)
 	}
+}
+
+// mustPanic runs f and fails unless it panics with a message
+// containing want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic, want one mentioning %q", want)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want one mentioning %q", msg, want)
+		}
+	}()
+	f()
+}
+
+// TestPushRejectsQueuedPacket: a packet emitted twice would sit in two
+// chains at once and corrupt both, so the second push panics on both
+// loops instead of silently duplicating the packet.
+func TestPushRejectsQueuedPacket(t *testing.T) {
+	for _, opts := range []Options{{Workers: 1, MaxKey: 4}, {Event: &EventOptions{}, MaxKey: 4}} {
+		eng := New(opts)
+		p := packet.New(5, 0, 0, packet.Transit)
+		mustPanic(t, "packet 5 pushed while already queued", func() {
+			eng.Run(func(ctx *Ctx) {
+				ctx.Emit(0, p)
+				ctx.Emit(1, p)
+			}, func(*Ctx, Arrival, int) {}, nil)
+		})
+	}
+}
+
+// TestRoundOverflowPanics: a round or tick past math.MaxInt32 cannot
+// be stamped into the int32 Packet.EnqueuedAt, so both loops refuse
+// to reach it.
+func TestRoundOverflowPanics(t *testing.T) {
+	eng := New(Options{Workers: 1, MaxKey: 4})
+	eng.Start(func(*Ctx, Arrival, int) {}, nil)
+	eng.round = math.MaxInt32 - 1
+	eng.Step(nil) // reaches round MaxInt32, which still fits
+	mustPanic(t, "round 2147483648 overflows", func() { eng.Step(nil) })
+
+	// The event loop: a packet arriving at tick MaxInt32 is stamped
+	// fine, but its delivery lands one tick later.
+	ev := New(Options{Event: &EventOptions{}, MaxKey: 4})
+	loop := ev.newEventLoop()
+	loop.now = math.MaxInt32
+	ctx := &ev.shards[0].ctx
+	ctx.Emit(0, packet.New(0, 0, 0, packet.Transit))
+	loop.harvest(ctx, loop.now)
+	mustPanic(t, "tick 2147483648 overflows", func() {
+		loop.run(ctx, func(*Ctx, Arrival, int) {}, nil)
+	})
 }

@@ -5,7 +5,6 @@ import (
 
 	"pramemu/internal/packet"
 	"pramemu/internal/prng"
-	"pramemu/internal/queue"
 )
 
 // The latency-model axis values of EventOptions.Model.
@@ -202,7 +201,7 @@ type slabEvent struct {
 // latency and gap, its transient-outage window and the in-flight
 // packet a retransmission timeout is holding.
 type eventLink struct {
-	q        queue.Discipline
+	q        Link
 	inflight *packet.Packet
 	freeAt   int64 // earliest next transmission start (bandwidth cap)
 	downTil  int64 // transient outage: no starts before this tick
@@ -300,6 +299,24 @@ func unitDraw(seed, key, pid, attempt uint64) float64 {
 // sequential — the wheel order is the only schedule — which is what
 // makes the Workers knob a no-op on results rather than a hazard.
 func (e *Engine) runEvent(inject func(ctx *Ctx), handle Handler, combine Combiner) Stats {
+	ev := e.newEventLoop()
+	ctx := &e.shards[0].ctx
+	if inject != nil {
+		inject(ctx)
+	}
+	ev.harvest(ctx, 0)
+	ev.run(ctx, handle, combine)
+	e.clearScratch()
+	var out Stats
+	out.fold(&ctx.stats)
+	for _, v := range ctx.loads {
+		maxInto(&out.MaxModuleLoad, v)
+	}
+	return out
+}
+
+// newEventLoop builds an empty event loop at tick 0.
+func (e *Engine) newEventLoop() *eventLoop {
 	ev := &eventLoop{
 		e:        e,
 		o:        *e.event,
@@ -329,17 +346,18 @@ func (e *Engine) runEvent(inject func(ctx *Ctx), handle Handler, combine Combine
 	if ev.o.Model == LatencyMatrix {
 		ev.coord = make([][2]int32, ev.o.Nodes)
 	}
-	ctx := &e.shards[0].ctx
-	if inject != nil {
-		inject(ctx)
-	}
-	ev.harvest(ctx, 0)
+	return ev
+}
+
+// run processes ticks from the current one until the wheel is empty.
+func (ev *eventLoop) run(ctx *Ctx, handle Handler, combine Combiner) {
 	// ctxPollMask paces the cancellation poll: one non-blocking channel
 	// read per ~4096 events, the event-loop analogue of the round loop's
 	// per-round check.
 	const ctxPollMask = 1<<12 - 1
 	polled := ctxPollMask // poll before the first batch
-	for t := int64(0); ev.pending > 0; t++ {
+	for t := ev.now; ev.pending > 0; t++ {
+		checkRound("tick", t)
 		ev.now = t
 		for kind := 0; kind < numKinds; kind++ {
 			ev.kind = kind
@@ -349,7 +367,7 @@ func (e *Engine) runEvent(inject func(ctx *Ctx), handle Handler, combine Combine
 			}
 			if polled += len(batch); polled > ctxPollMask {
 				polled = 0
-				e.checkContext()
+				ev.e.checkContext()
 			}
 			switch kind {
 			case evDeliver:
@@ -378,13 +396,6 @@ func (e *Engine) runEvent(inject func(ctx *Ctx), handle Handler, combine Combine
 		}
 		ev.kind = -1
 	}
-	e.clearScratch()
-	var out Stats
-	out.fold(&ctx.stats)
-	for _, v := range ctx.loads {
-		maxInto(&out.MaxModuleLoad, v)
-	}
-	return out
 }
 
 // schedule files an event at (at, kind). The wheel order equals the
@@ -454,16 +465,13 @@ func (ev *eventLoop) harvest(ctx *Ctx, t int64) {
 // engine's push-then-drain phase barrier.
 func (ev *eventLoop) arrive(ctx *Ctx, a Arrival, t int64, combine Combiner) {
 	l := ev.link(a.Key)
-	if combine != nil && l.q != nil && l.q.Len() > 0 && combine(ctx, l.q, a) {
+	if combine != nil && l.q.n > 0 && combine(ctx, &l.q, a) {
 		return
 	}
-	if l.q == nil {
-		l.q = ev.e.shards[0].takeQueue(ev.e)
-	}
-	a.P.EnqueuedAt = int(t)
-	l.q.Push(a.P)
-	if n := l.q.Len(); n > ctx.stats.MaxQueue {
-		ctx.stats.MaxQueue = n
+	a.P.EnqueuedAt = int32(t)
+	l.q.push(a.P, ev.e.less)
+	if l.q.n > ctx.stats.MaxQueue {
+		ctx.stats.MaxQueue = l.q.n
 	}
 	ev.wake(l, a.Key, t)
 }
@@ -471,7 +479,7 @@ func (ev *eventLoop) arrive(ctx *Ctx, a Arrival, t int64, combine Combiner) {
 // wake schedules an evFree at the earliest tick the link could start
 // a transmission, deduplicating against an already-pending wake.
 func (ev *eventLoop) wake(l *eventLink, key uint64, t int64) {
-	if l.inflight != nil || l.q == nil || l.q.Len() == 0 {
+	if l.inflight != nil || l.q.n == 0 {
 		return
 	}
 	at := max(t, l.freeAt, l.downTil)
@@ -487,7 +495,7 @@ func (ev *eventLoop) wake(l *eventLink, key uint64, t int64) {
 // its bandwidth gap, or down — in which case the wake is re-armed for
 // the blocking tick.
 func (ev *eventLoop) tryStart(ctx *Ctx, l *eventLink, key uint64, t int64) {
-	if l.inflight != nil || l.q == nil || l.q.Len() == 0 {
+	if l.inflight != nil || l.q.n == 0 {
 		return
 	}
 	if start := max(t, l.freeAt, l.downTil); start > t {
@@ -497,13 +505,8 @@ func (ev *eventLoop) tryStart(ctx *Ctx, l *eventLink, key uint64, t int64) {
 		}
 		return
 	}
-	p := l.q.Pop()
-	p.Delay += int(t) - p.EnqueuedAt
-	if l.q.Len() == 0 {
-		sh := &ev.e.shards[0]
-		sh.free = append(sh.free, l.q)
-		l.q = nil
-	}
+	p := l.q.pop()
+	p.Delay += int(t) - int(p.EnqueuedAt)
 	ev.transmit(ctx, l, key, p, t, 0)
 }
 

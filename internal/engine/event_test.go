@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"pramemu/internal/packet"
-	"pramemu/internal/queue"
 )
 
 // The event golden runs route 400 packets from 30 start nodes over a
@@ -314,7 +313,7 @@ func TestEventCombinerRuns(t *testing.T) {
 		ctx.Emit(0, b)
 	}, func(ctx *Ctx, ar Arrival, round int) {
 		ctx.Stats().DeliveredRequests += ar.P.TotalCombined()
-	}, func(ctx *Ctx, q queue.Discipline, ar Arrival) bool {
+	}, func(ctx *Ctx, q *Link, ar Arrival) bool {
 		var host *packet.Packet
 		q.Each(func(c *packet.Packet) bool {
 			if c.Addr == ar.P.Addr {

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-
-	"pramemu/internal/queue"
 )
 
 // Lease carries the engine's large per-shard allocations — dense link
@@ -20,16 +18,12 @@ import (
 // one lease adapts as a sweep walks cell shapes.
 //
 // Reuse is bit-invisible by construction. A completed run's drain
-// loop leaves every table slot and page slot nil and the active lists
-// empty (the engine's own within-run recycling already relies on
-// this), clearScratch zeroes the scratch buffers, and touched pages
-// are harvested into a free list with the directory left all-nil — so
-// a warm run's first-touch page accounting (and therefore
-// MemStats.TableBytes) is identical to a cold run's. An aborted run
-// never releases, so dirty state cannot enter a lease. Queue free
-// lists are deliberately NOT leased: NewQueue closures differ between
-// simulators (mesh disciplines), and leaking one discipline into
-// another's run would change behavior.
+// loop leaves every table slot and page slot an empty Link and the
+// active lists empty, clearScratch zeroes the scratch buffers, and
+// touched pages are harvested into a free list with the directory
+// left all-nil — so a warm run's first-touch page accounting (and
+// therefore MemStats.TableBytes) is identical to a cold run's. An
+// aborted run never releases, so dirty state cannot enter a lease.
 //
 // A Lease is not safe for concurrent use; LeasePool hands distinct
 // leases to concurrent cells.
@@ -41,9 +35,9 @@ type Lease struct {
 }
 
 type leaseShard struct {
-	table    []queue.Discipline
-	pages    []*[pageSize]queue.Discipline
-	pageFree []*[pageSize]queue.Discipline
+	table    []Link
+	pages    []*[pageSize]Link
+	pageFree []*[pageSize]Link
 	active   []uint64
 	inbox    []Arrival
 	scratch  []Arrival

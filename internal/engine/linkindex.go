@@ -1,24 +1,20 @@
 package engine
 
-import (
-	"math/bits"
-
-	"pramemu/internal/queue"
-)
+import "math/bits"
 
 // linkIndex is the hashed (StateHashed) layout: an open-addressed map
-// from 64-bit link key to queue. Slots live in two parallel
-// power-of-two slices; a nil queue marks an empty slot, so any key,
-// zero included, can be stored. The slot of a key is its Fibonacci
-// (multiplicative) hash, collisions probe linearly, the load stays at
-// or below one half, and deletion shifts the rest of the probe run
-// back instead of leaving tombstones, so a long run of inserts and
-// deletes never degrades lookups. The table grows by doubling and
-// never shrinks: once a run reaches its peak live-key count, rounds
-// are allocation-free.
+// from 64-bit link key to Link. Slots live in two parallel
+// power-of-two slices; an empty Link (n == 0) marks an empty slot, so
+// any key, zero included, can be stored. The slot of a key is its
+// Fibonacci (multiplicative) hash, collisions probe linearly, the load
+// stays at or below one half, and deletion shifts the rest of the
+// probe run back instead of leaving tombstones, so a long run of
+// inserts and deletes never degrades lookups. The table grows by
+// doubling and never shrinks: once a run reaches its peak live-key
+// count, rounds are allocation-free.
 type linkIndex struct {
 	keys  []uint64
-	qs    []queue.Discipline
+	links []Link
 	n     int  // occupied slots
 	shift uint // 64 - log2(len(keys)): the slot is the product's top bits
 }
@@ -39,7 +35,7 @@ func newLinkIndex() linkIndex {
 
 func (ix *linkIndex) resize(slots int) {
 	ix.keys = make([]uint64, slots)
-	ix.qs = make([]queue.Discipline, slots)
+	ix.links = make([]Link, slots)
 	ix.shift = uint(64 - bits.TrailingZeros(uint(slots)))
 }
 
@@ -50,19 +46,22 @@ func (ix *linkIndex) home(key uint64) int { return int((key * fibMul) >> ix.shif
 func (ix *linkIndex) find(key uint64) int {
 	mask := len(ix.keys) - 1
 	i := ix.home(key)
-	for ix.qs[i] != nil && ix.keys[i] != key {
+	for ix.links[i].n != 0 && ix.keys[i] != key {
 		i = (i + 1) & mask
 	}
 	return i
 }
 
-// get returns the queue of key, or nil when key is absent.
-func (ix *linkIndex) get(key uint64) queue.Discipline { return ix.qs[ix.find(key)] }
+// get returns the Link of key; it is empty when key is absent.
+func (ix *linkIndex) get(key uint64) *Link { return &ix.links[ix.find(key)] }
 
-// put stores q (non-nil) as the queue of key.
-func (ix *linkIndex) put(key uint64, q queue.Discipline) {
+// insert returns the Link of key, claiming a slot for it when key is
+// absent. The claimed slot stays empty — and so unoccupied to find —
+// until the caller pushes onto it, which it must do before the next
+// index operation.
+func (ix *linkIndex) insert(key uint64) *Link {
 	i := ix.find(key)
-	if ix.qs[i] == nil {
+	if ix.links[i].n == 0 {
 		if 2*(ix.n+1) > len(ix.keys) {
 			ix.grow()
 			i = ix.find(key)
@@ -70,37 +69,36 @@ func (ix *linkIndex) put(key uint64, q queue.Discipline) {
 		ix.keys[i] = key
 		ix.n++
 	}
-	ix.qs[i] = q
+	return &ix.links[i]
 }
 
-// del removes key, if present. The entries after it in the same probe
-// run move back into the hole whenever their home slot does not lie
-// cyclically between the hole and their current slot, which keeps
-// every remaining key reachable from its home without tombstones.
+// del removes key after a pop has emptied its Link. find still stops
+// at that slot: every slot between it and the key's home is occupied.
+// The entries after it in the same probe run move back into the hole
+// whenever their home slot does not lie cyclically between the hole
+// and their current slot, which keeps every remaining key reachable
+// from its home without tombstones.
 func (ix *linkIndex) del(key uint64) {
 	i := ix.find(key)
-	if ix.qs[i] == nil {
-		return
-	}
 	mask := len(ix.keys) - 1
-	for j := (i + 1) & mask; ix.qs[j] != nil; j = (j + 1) & mask {
+	for j := (i + 1) & mask; ix.links[j].n != 0; j = (j + 1) & mask {
 		if (j-ix.home(ix.keys[j]))&mask >= (j-i)&mask {
-			ix.keys[i], ix.qs[i] = ix.keys[j], ix.qs[j]
+			ix.keys[i], ix.links[i] = ix.keys[j], ix.links[j]
 			i = j
 		}
 	}
-	ix.keys[i], ix.qs[i] = 0, nil
+	ix.keys[i], ix.links[i] = 0, Link{}
 	ix.n--
 }
 
 // grow doubles the table and reinserts every entry.
 func (ix *linkIndex) grow() {
-	keys, qs := ix.keys, ix.qs
+	keys, links := ix.keys, ix.links
 	ix.resize(2 * len(keys))
-	for i, q := range qs {
-		if q != nil {
+	for i, l := range links {
+		if l.n != 0 {
 			j := ix.find(keys[i])
-			ix.keys[j], ix.qs[j] = keys[i], q
+			ix.keys[j], ix.links[j] = keys[i], l
 		}
 	}
 }

@@ -62,8 +62,9 @@ type MemStats struct {
 	ArenaBytes int64
 }
 
-// queueSlotBytes is the memory cost of one link-table slot: a
-// queue.Discipline interface value, two words.
+// queueSlotBytes is the memory cost of one link-table slot: a Link,
+// a tail pointer and a length. The table_bytes and b_per_node columns
+// of recorded artifacts are priced at this size.
 const queueSlotBytes = 16
 
 // hashedEntryBytes is the per-live-key cost charged to StateHashed's

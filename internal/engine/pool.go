@@ -19,7 +19,10 @@
 //     operators (sum, max) are commutative.
 //  2. Queue insertion order is canonical. All arrivals emitted during
 //     a round are sorted by (link key, packet ID) before insertion, so
-//     FIFO contents never depend on shard layout or map iteration.
+//     a link's chain of queued packets (see Link) never depends on
+//     shard layout or map iteration: a FIFO chain holds them in that
+//     order, and an Options.Less chain in Less order, which a strict
+//     total order fixes whatever the insertion order.
 //  3. Randomness is keyed to stable entities, never to workers. Each
 //     packet owns a substream split from the run seed by packet ID,
 //     and each shard owns a substream split by shard index.

@@ -3,7 +3,6 @@ package leveled
 import (
 	"pramemu/internal/engine"
 	"pramemu/internal/packet"
-	"pramemu/internal/queue"
 	"pramemu/internal/twophase"
 )
 
@@ -182,7 +181,7 @@ func (r *router) onDeterministicPath(key uint64) bool {
 // combine merges an arriving request into a queued one with the same
 // kind, address and module, if one exists on this deterministic-path
 // link. Returns true if merged.
-func (r *router) combine(ctx *engine.Ctx, q queue.Discipline, a engine.Arrival) bool {
+func (r *router) combine(ctx *engine.Ctx, q *engine.Link, a engine.Arrival) bool {
 	if a.Key&reverseBit != 0 || !r.onDeterministicPath(a.Key) {
 		return false
 	}

@@ -30,7 +30,6 @@ import (
 	"pramemu/internal/engine"
 	"pramemu/internal/packet"
 	"pramemu/internal/prng"
-	"pramemu/internal/queue"
 )
 
 // Grid is an n x n mesh. Node (r, c) has identifier r*n + c.
@@ -187,7 +186,7 @@ func Route(g *Grid, pkts []*packet.Packet, opts Options) Stats {
 		Context:   opts.Context,
 		Workers:   opts.Workers,
 		Seed:      opts.Seed,
-		NewQueue:  r.newQueue,
+		Less:      r.less(),
 		MaxKey:    uint64(g.Nodes()) * numDirs,
 		MemBudget: opts.MemBudget,
 		Lease:     opts.Lease,
@@ -310,20 +309,21 @@ func (r *router) neighbor(node, dir int) int {
 	}
 }
 
-// newQueue is the engine's link-queue factory: FIFO for the ablation,
-// otherwise the paper's furthest-destination-first heap.
-func (r *router) newQueue() queue.Discipline {
+// less is the engine's link-queue order: nil (FIFO) for the ablation,
+// otherwise the paper's furthest-destination-first rule, ties broken
+// by packet ID.
+func (r *router) less() func(a, b *packet.Packet) bool {
 	if r.opts.Discipline == FIFODiscipline {
-		return queue.NewFIFO(4)
+		return nil
 	}
 	g := r.g
-	return queue.NewPriority(func(a, b *packet.Packet) bool {
+	return func(a, b *packet.Packet) bool {
 		da, db := g.L1Remaining(a), g.L1Remaining(b)
 		if da != db {
 			return da > db // furthest destination first
 		}
 		return a.ID < b.ID
-	})
+	}
 }
 
 // L1Remaining returns the packet's remaining travel distance through

@@ -1,6 +1,8 @@
 package mesh
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"pramemu/internal/packet"
@@ -236,5 +238,55 @@ func TestSelfPacketsDeliverImmediately(t *testing.T) {
 	}
 	if stats.Rounds != 0 {
 		t.Fatalf("self routing took %d rounds", stats.Rounds)
+	}
+}
+
+// TestDisciplineGolden pins every packet's route cost under both
+// queue disciplines: an FNV-1a digest of the Stats and each packet's
+// (Hops, Delay, Arrived), at one and four workers. The values were
+// recorded with the binary-heap queue the sorted link chains
+// replaced, so a change to the furthest-first order (or its ID
+// tie-break) shows here, not only in the round and max-queue totals.
+func TestDisciplineGolden(t *testing.T) {
+	want := map[string]uint64{
+		"n16/furthest/seed1": 0x9fba3aae8b664939,
+		"n16/furthest/seed7": 0x65b3476bc8e8aeb9,
+		"n16/fifo/seed1":     0x66a21b53617cfbd5,
+		"n16/fifo/seed7":     0xf065ffbc6b32c694,
+		"n32/furthest/seed1": 0xc193720e601b0a49,
+		"n32/furthest/seed7": 0x53598099183b4c96,
+		"n32/fifo/seed1":     0xe0c93303b2a1eaf1,
+		"n32/fifo/seed7":     0xd07191943cb27582,
+	}
+	for _, n := range []int{16, 32} {
+		for _, d := range []struct {
+			name string
+			d    Discipline
+		}{{"furthest", FurthestFirst}, {"fifo", FIFODiscipline}} {
+			for _, seed := range []uint64{1, 7} {
+				name := fmt.Sprintf("n%d/%s/seed%d", n, d.name, seed)
+				g := New(n)
+				perm := prng.New(seed).Perm(g.Nodes())
+				var first uint64
+				for _, workers := range []int{1, 4} {
+					pkts := permPackets(g, perm)
+					st := Route(g, pkts, Options{Seed: seed, Discipline: d.d, Workers: workers})
+					h := fnv.New64a()
+					fmt.Fprintf(h, "%+v", st)
+					for _, p := range pkts {
+						fmt.Fprintf(h, "|%d,%d,%d", p.Hops, p.Delay, p.Arrived)
+					}
+					got := h.Sum64()
+					if workers == 1 {
+						first = got
+					} else if got != first {
+						t.Fatalf("%s: workers %d digest %#x, workers 1 %#x", name, workers, got, first)
+					}
+				}
+				if w, ok := want[name]; !ok || w != first {
+					t.Errorf("%s: digest %#x, want %#x", name, first, w)
+				}
+			}
+		}
 	}
 }

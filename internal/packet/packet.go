@@ -61,8 +61,16 @@ type Packet struct {
 	ID int
 	// Src and Dst are node identifiers in the simulated network.
 	Src, Dst int
-	// Kind, Addr and Value carry the PRAM memory operation, if any.
-	Kind  Kind
+	// Kind, with Addr and Value below, carries the PRAM memory
+	// operation, if any.
+	Kind Kind
+	// EnqueuedAt is the round at which the packet entered its current
+	// queue; simulators use it to account delay lazily on dequeue. As
+	// an int32 it fills Kind's padding, so the packet stays 216 bytes.
+	EnqueuedAt int32
+	// Next chains the packet to the one behind it in its link queue
+	// (see engine.Link); it is nil whenever the packet is in no queue.
+	Next  *Packet
 	Addr  uint64
 	Value int64
 	// Proc is the PRAM processor on whose behalf the packet travels
@@ -94,9 +102,6 @@ type Packet struct {
 	// the network; Arrived is set on delivery (-1 until then).
 	Injected int
 	Arrived  int
-	// EnqueuedAt is the round at which the packet entered its current
-	// queue; simulators use it to account delay lazily on dequeue.
-	EnqueuedAt int
 
 	// Path records the node identifiers visited, when the simulator
 	// has reply-retracing or combining enabled. Path[0] == Src.

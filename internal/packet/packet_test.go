@@ -3,7 +3,18 @@ package packet
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestPacketSize pins the packet at 216 bytes. Arena.Bytes prices
+// slabs by this size, so a change moves the arena_bytes and
+// b_per_node columns of every sweeps/expected artifact and the
+// sim_digest of the sweep-cold benchmark.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 216 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 216: this moves arena_bytes and b_per_node in sweeps/expected/*.jsonl", got)
+	}
+}
 
 func TestKindPredicates(t *testing.T) {
 	cases := []struct {

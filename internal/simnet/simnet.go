@@ -25,7 +25,6 @@ import (
 
 	"pramemu/internal/engine"
 	"pramemu/internal/packet"
-	"pramemu/internal/queue"
 	"pramemu/internal/topology"
 	"pramemu/internal/twophase"
 )
@@ -200,7 +199,7 @@ func (r *router) handle(ctx *engine.Ctx, a engine.Arrival, round int) {
 // topologies matching (node, dst) guarantees the remaining
 // deterministic paths coincide; on taken-sensitive topologies
 // (shuffle) equal per-phase progress is additionally required.
-func (r *router) combine(ctx *engine.Ctx, q queue.Discipline, a engine.Arrival) bool {
+func (r *router) combine(ctx *engine.Ctx, q *engine.Link, a engine.Arrival) bool {
 	p := a.P
 	if !p.Kind.IsRequest() || p.Phase != 2 {
 		return false
