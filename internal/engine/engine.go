@@ -145,7 +145,7 @@ type Options struct {
 // callbacks, so accumulation needs no locks.
 type Ctx struct {
 	stats  Stats
-	loads  map[int]int
+	loads  []int // per-node load sums, indexed by node; see AddLoad
 	rand   *prng.Source
 	mask   uint64
 	dense  bool        // shard by the key's low bits, not shardOf
@@ -181,11 +181,14 @@ func (c *Ctx) Emit(key uint64, p *packet.Packet) {
 // across shards, so handlers may update sums and maxima freely.
 func (c *Ctx) Stats() *Stats { return &c.stats }
 
-// AddLoad accumulates delta units of load on a node (module). The
-// merged per-node sums yield Stats.MaxModuleLoad.
+// AddLoad accumulates delta units of load on node (a module, so
+// node >= 0). Each shard sums into a slice indexed by node that grows
+// geometrically and is kept, zeroed, for the next run, so a warm
+// delivery costs one indexed add; the end of the run sums the shards
+// node by node into Stats.MaxModuleLoad.
 func (c *Ctx) AddLoad(node, delta int) {
-	if c.loads == nil {
-		c.loads = make(map[int]int)
+	if node >= len(c.loads) {
+		c.loads = growTo(c.loads, node)
 	}
 	c.loads[node] += delta
 }
@@ -474,22 +477,37 @@ func (e *Engine) Step(inject func(ctx *Ctx)) (live int) {
 // hands the tables back to the Lease, if any, and returns the folded
 // statistics.
 func (e *Engine) Finish() Stats {
+	out := e.collect()
 	e.clearScratch()
 	e.releaseLease()
+	return out
+}
+
+// collect folds every shard's statistics and module loads into one
+// Stats and zeroes them, so the next run on this engine starts from
+// nothing. A node's load is its sum over the shards that delivered to
+// it, gathered into shard 0's slice; the largest sum is MaxModuleLoad.
+// The load slices keep their length, so a warm run never regrows them.
+func (e *Engine) collect() Stats {
 	var out Stats
-	var loads map[int]int
+	sums := e.shards[0].ctx.loads
 	for i := range e.shards {
-		out.fold(&e.shards[i].ctx.stats)
-		for node, v := range e.shards[i].ctx.loads {
-			if loads == nil {
-				loads = make(map[int]int)
+		c := &e.shards[i].ctx
+		out.fold(&c.stats)
+		c.stats = Stats{}
+		if i > 0 {
+			sums = growTo(sums, len(c.loads)-1)
+			for node, v := range c.loads {
+				sums[node] += v
 			}
-			loads[node] += v
+			clear(c.loads)
 		}
 	}
-	for _, v := range loads {
+	for _, v := range sums {
 		maxInto(&out.MaxModuleLoad, v)
 	}
+	clear(sums)
+	e.shards[0].ctx.loads = sums
 	return out
 }
 

@@ -293,7 +293,8 @@ func higherIDFirst(a, b *packet.Packet) bool { return a.ID > b.ID }
 // layout's link index keeps its grown slots. A stepped run whose every
 // round injects through one prebuilt closure, as Ranade's reply pass
 // does, holds it too, and so does a sorted (Options.Less) run, the
-// mesh's path.
+// mesh's path. The handler records a module load at every hop, so the
+// per-node load sums and their end-of-run fold are held to it as well.
 func TestSteadyStateRoundIsAllocationFree(t *testing.T) {
 	const npkts, length = 64, 512
 	pkts := make([]*packet.Packet, npkts)
@@ -308,6 +309,7 @@ func TestSteadyStateRoundIsAllocationFree(t *testing.T) {
 		}
 	}
 	handle := func(ctx *Ctx, a Arrival, round int) {
+		ctx.AddLoad(int(a.Key), 1)
 		if next := a.Key + 1; next < length {
 			ctx.Emit(next, a.P)
 		}
@@ -357,6 +359,56 @@ func TestSteadyStateRoundIsAllocationFree(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
 			t.Fatalf("%s: steady-state Run allocated %.1f objects, want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestEngineRerunReturnsPerRunStats runs the same ten packets twice
+// on one Engine: the second run must report that run alone — the same
+// Stats as the first, with ten deliveries and a module load of ten —
+// on the round loop's Run, on a stepped Start/Step/Finish run and on
+// the event loop.
+func TestEngineRerunReturnsPerRunStats(t *testing.T) {
+	const npkts, length = 10, 4
+	inject := func(ctx *Ctx) {
+		for i := 0; i < npkts; i++ {
+			ctx.Emit(0, packet.New(i, 0, length, packet.Transit))
+		}
+	}
+	handle := func(ctx *Ctx, a Arrival, round int) {
+		if at := int(a.Key) + 1; at < length {
+			ctx.Emit(uint64(at), a.P)
+			return
+		}
+		st := ctx.Stats()
+		st.DeliveredRequests++
+		st.Rounds = max(st.Rounds, round)
+		ctx.AddLoad(length, 1)
+	}
+	run := func(eng *Engine) Stats { return eng.Run(inject, handle, nil) }
+	stepped := func(eng *Engine) Stats {
+		eng.Start(handle, nil)
+		for live := eng.Step(inject); live > 0; live = eng.Step(nil) {
+		}
+		return eng.Finish()
+	}
+	for _, c := range []struct {
+		name string
+		opts Options
+		run  func(*Engine) Stats
+	}{
+		{"round", Options{Workers: 2, MaxKey: length}, run},
+		{"stepped", Options{Workers: 2, MaxKey: length}, stepped},
+		{"event", Options{Workers: 1, MaxKey: length, Event: &EventOptions{}}, run},
+	} {
+		eng := New(c.opts)
+		first := c.run(eng)
+		if first.DeliveredRequests != npkts || first.MaxModuleLoad != npkts {
+			t.Fatalf("%s: first run delivered %d with module load %d, want %d and %d",
+				c.name, first.DeliveredRequests, first.MaxModuleLoad, npkts, npkts)
+		}
+		if second := c.run(eng); second != first {
+			t.Fatalf("%s: second run on the same engine reported\n%+v\nwant the first run's\n%+v", c.name, second, first)
 		}
 	}
 }

@@ -306,12 +306,8 @@ func (e *Engine) runEvent(inject func(ctx *Ctx), handle Handler, combine Combine
 	}
 	ev.harvest(ctx, 0)
 	ev.run(ctx, handle, combine)
+	out := e.collect()
 	e.clearScratch()
-	var out Stats
-	out.fold(&ctx.stats)
-	for _, v := range ctx.loads {
-		maxInto(&out.MaxModuleLoad, v)
-	}
 	return out
 }
 

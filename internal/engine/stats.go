@@ -27,7 +27,8 @@ type Stats struct {
 	// senders retried (always zero on synchronous round runs).
 	Retransmits int
 	// MaxModuleLoad is the largest per-node load accumulated through
-	// Ctx.AddLoad, computed at fold time from the merged per-node sums.
+	// Ctx.AddLoad: each node's load is summed over the shards at the
+	// end of the run, and this is the largest sum.
 	MaxModuleLoad int
 	// Aux is simulator-defined max-merged state (the mesh router keeps
 	// its per-stage drain rounds here).
