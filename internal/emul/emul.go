@@ -18,6 +18,7 @@ package emul
 
 import (
 	"fmt"
+	"slices"
 
 	"pramemu/internal/hashing"
 	"pramemu/internal/packet"
@@ -79,6 +80,13 @@ type Config struct {
 	// through to every routed step: 0 selects GOMAXPROCS, 1 the
 	// sequential loop. Any value yields identical emulation results.
 	Workers int
+	// Arena, when non-nil, is caller-owned memory for the step's
+	// request packets: every routing attempt resets it and carves its
+	// packets from it, so a warm arena routes a step without a heap
+	// packet per request. The caller must hold no packet of the arena
+	// across a step. Nil builds each packet with packet.New. Results
+	// are identical either way.
+	Arena *packet.Arena
 }
 
 // Emulator prices PRAM steps by routing them over a Network.
@@ -89,6 +97,11 @@ type Emulator struct {
 	rehashes  int
 	seedCtr   uint64
 	threshold int
+	// pkts, modStart and modAddrs are per-attempt scratch, grown on
+	// demand and kept for the emulator's next attempt or step.
+	pkts     []*packet.Packet
+	modStart []int32
+	modAddrs []uint64
 }
 
 // New builds an emulator for the given network. Degenerate
@@ -186,6 +199,10 @@ func (e *Emulator) routeRequests(reqs []pram.Request) (RouteStats, int) {
 // module of the address.
 func (e *Emulator) buildPackets(reqs []pram.Request) (pkts []*packet.Packet, reads int) {
 	h := e.hash.Current()
+	if e.cfg.Arena != nil {
+		e.cfg.Arena.Reset()
+	}
+	pkts = slices.Grow(e.pkts[:0], len(reqs))
 	id := 0
 	for _, req := range reqs {
 		if req.Op == pram.OpNone {
@@ -200,32 +217,57 @@ func (e *Emulator) buildPackets(reqs []pram.Request) (pkts []*packet.Packet, rea
 		} else {
 			reads++
 		}
-		p := packet.New(id, req.Proc, h.Hash(req.Addr), kind)
+		p := packet.NewIn(e.cfg.Arena, id, req.Proc, h.Hash(req.Addr), kind)
 		p.Addr = req.Addr
 		p.Value = req.Value
 		p.Proc = req.Proc
 		pkts = append(pkts, p)
 		id++
 	}
+	e.pkts = pkts
 	return pkts, reads
 }
 
 // maxAddrLoad returns the largest number of distinct step addresses
 // hashed to one module — the quantity Lemma 2.2 bounds. It reads each
 // address's module from its packet's Dst, so every address is hashed
-// once per attempt, by buildPackets.
+// once per attempt, by buildPackets. Copies of one address share a
+// module, so a counting sort groups the addresses by module and each
+// module's distinct count is taken within its own group; a group no
+// larger than the best count so far cannot beat it and is skipped.
 func (e *Emulator) maxAddrLoad(pkts []*packet.Packet) int {
-	seen := make(map[uint64]struct{}, len(pkts))
-	perModule := make([]int, e.net.Nodes())
-	max := 0
+	nodes := e.net.Nodes()
+	start := append(e.modStart[:0], make([]int32, nodes+1)...)
+	addrs := slices.Grow(e.modAddrs[:0], len(pkts))[:len(pkts)]
+	e.modStart, e.modAddrs = start, addrs
 	for _, p := range pkts {
-		if _, dup := seen[p.Addr]; dup {
+		start[p.Dst+1]++
+	}
+	for m := 1; m <= nodes; m++ {
+		start[m] += start[m-1]
+	}
+	// start[m] is group m's first slot; it advances as the group
+	// fills, ending at the group's end.
+	for _, p := range pkts {
+		addrs[start[p.Dst]] = p.Addr
+		start[p.Dst]++
+	}
+	max, lo := 0, int32(0)
+	for m := 0; m < nodes; m++ {
+		group := addrs[lo:start[m]]
+		lo = start[m]
+		if len(group) <= max {
 			continue
 		}
-		seen[p.Addr] = struct{}{}
-		perModule[p.Dst]++
-		if perModule[p.Dst] > max {
-			max = perModule[p.Dst]
+		slices.Sort(group)
+		distinct := 1
+		for i := 1; i < len(group); i++ {
+			if group[i] != group[i-1] {
+				distinct++
+			}
+		}
+		if distinct > max {
+			max = distinct
 		}
 	}
 	return max

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"pramemu/internal/packet"
 	"pramemu/internal/prng"
@@ -598,6 +599,14 @@ func (e *Engine) pushShard(s, round int, combine Combiner) {
 		src.out[s] = src.out[s][:0]
 	}
 	sorted, spare := sortArrivals(buf, sh.scratch)
+	if sh.table == nil && sh.pages == nil {
+		// A hashed run starts from empty buffers (no Lease stocks
+		// them), so size the index and the active list for the batch
+		// once instead of doubling them key by key.
+		opened := distinctKeys(sorted)
+		sh.links.reserve(opened)
+		sh.active = slices.Grow(sh.active, opened)
+	}
 	for _, a := range sorted {
 		l := sh.insert(a.Key)
 		if l.n == 0 {
@@ -613,6 +622,18 @@ func (e *Engine) pushShard(s, round int, combine Combiner) {
 		}
 	}
 	sh.inbox, sh.scratch = sorted[:0], spare[:0]
+}
+
+// distinctKeys counts the distinct keys of a key-sorted batch: the
+// most links it can open in a push.
+func distinctKeys(sorted []Arrival) int {
+	n := 0
+	for i, a := range sorted {
+		if i == 0 || a.Key != sorted[i-1].Key {
+			n++
+		}
+	}
+	return n
 }
 
 // checkRound panics when round or tick t no longer fits the int32

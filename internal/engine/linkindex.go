@@ -10,8 +10,9 @@ import "math/bits"
 // stays at or below one half, and deletion shifts the rest of the
 // probe run back instead of leaving tombstones, so a long run of
 // inserts and deletes never degrades lookups. The table grows by
-// doubling and never shrinks: once a run reaches its peak live-key
-// count, rounds are allocation-free.
+// doubling (reserve takes several doublings in one step) and never
+// shrinks: once a run reaches its peak live-key count, rounds are
+// allocation-free.
 type linkIndex struct {
 	keys  []uint64
 	links []Link
@@ -91,10 +92,28 @@ func (ix *linkIndex) del(key uint64) {
 	ix.n--
 }
 
-// grow doubles the table and reinserts every entry.
-func (ix *linkIndex) grow() {
+// reserve makes room for extra more keys under the half-load bound,
+// growing the table in one step to the first doubling that fits. The
+// push phase reserves for its whole batch of arrivals before inserting
+// them, so a run that starts cold or spikes in live links rehashes
+// once instead of once per doubling.
+func (ix *linkIndex) reserve(extra int) {
+	slots := len(ix.keys)
+	for 2*(ix.n+extra) > slots {
+		slots *= 2
+	}
+	if slots != len(ix.keys) {
+		ix.rehash(slots)
+	}
+}
+
+// grow doubles the table.
+func (ix *linkIndex) grow() { ix.rehash(2 * len(ix.keys)) }
+
+// rehash moves every entry into a new table of slots slots.
+func (ix *linkIndex) rehash(slots int) {
 	keys, links := ix.keys, ix.links
-	ix.resize(2 * len(keys))
+	ix.resize(slots)
 	for i, l := range links {
 		if l.n != 0 {
 			j := ix.find(keys[i])

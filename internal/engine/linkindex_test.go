@@ -178,3 +178,34 @@ func TestLinkIndexWrapAroundDeletes(t *testing.T) {
 		t.Fatal("emptied wrapped run left slot 0 occupied or tombstoned")
 	}
 }
+
+// TestLinkIndexReserve checks that reserve sizes the table in one step
+// for a batch on top of the live keys: the batch then inserts without
+// growing, every key stays reachable, and a reserve that already fits
+// leaves the table alone.
+func TestLinkIndexReserve(t *testing.T) {
+	ix := newLinkIndex()
+	ref := make(map[uint64]Link)
+	for k := uint64(0); k < 5; k++ {
+		ix.put(k*7919, Link{n: 1})
+		ref[k*7919] = Link{n: 1}
+	}
+	ix.reserve(1000)
+	slots := len(ix.keys)
+	if slots != 2048 {
+		t.Fatalf("reserve(1000) over 5 keys sized %d slots, want 2048", slots)
+	}
+	checkIndex(t, 0, &ix, ref)
+	for k := uint64(5); k < 1005; k++ {
+		ix.put(k*7919, Link{n: int(k)})
+		ref[k*7919] = Link{n: int(k)}
+	}
+	if len(ix.keys) != slots {
+		t.Fatalf("inserting the reserved batch grew the table to %d slots", len(ix.keys))
+	}
+	checkIndex(t, 1, &ix, ref)
+	ix.reserve(19)
+	if len(ix.keys) != slots {
+		t.Fatalf("a reserve that fits resized the table to %d slots", len(ix.keys))
+	}
+}

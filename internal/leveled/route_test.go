@@ -5,6 +5,7 @@ import (
 
 	"pramemu/internal/packet"
 	"pramemu/internal/prng"
+	"pramemu/internal/testio"
 )
 
 // permPackets builds one Transit packet per first-column node whose
@@ -230,28 +231,14 @@ func TestRouteRelation(t *testing.T) {
 
 func TestRoutePanics(t *testing.T) {
 	spec := NewDAry(2, 3)
-	for name, f := range map[string]func(){
-		"duplicate ids": func() {
-			Route(spec, []*packet.Packet{
-				packet.New(1, 0, 0, packet.Transit),
-				packet.New(1, 1, 1, packet.Transit),
-			}, Options{})
-		},
-		"src out of range": func() {
-			Route(spec, []*packet.Packet{packet.New(0, -1, 0, packet.Transit)}, Options{})
-		},
-		"dst out of range": func() {
-			Route(spec, []*packet.Packet{packet.New(0, 0, 99, packet.Transit)}, Options{})
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s should panic", name)
-				}
-			}()
-			f()
-		}()
+	for _, c := range testio.AdmissionCases("leveled", spec.Width()) {
+		t.Run(c.Name, func(t *testing.T) {
+			testio.MustPanicWith(t, c.Want, func() { Route(spec, c.Pkts, Options{}) })
+		})
+	}
+	pkts := testio.AdmittedIDs()
+	if st := Route(spec, pkts, Options{Seed: 3}); st.DeliveredRequests != len(pkts) {
+		t.Fatalf("delivered %d of %d packets with out-of-bitset IDs", st.DeliveredRequests, len(pkts))
 	}
 }
 

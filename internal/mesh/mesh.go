@@ -29,7 +29,6 @@ import (
 
 	"pramemu/internal/engine"
 	"pramemu/internal/packet"
-	"pramemu/internal/prng"
 )
 
 // Grid is an n x n mesh. Node (r, c) has identifier r*n + c.
@@ -192,19 +191,9 @@ func Route(g *Grid, pkts []*packet.Packet, opts Options) Stats {
 		Lease:     opts.Lease,
 	})
 	st := eng.Run(func(ctx *engine.Ctx) {
-		root := prng.New(opts.Seed)
-		seen := make(map[int]bool, len(pkts))
+		adm := packet.NewAdmission("mesh", g.Nodes(), len(pkts), opts.Seed)
 		for _, p := range pkts {
-			if seen[p.ID] {
-				panic(fmt.Sprintf("mesh: duplicate packet ID %d", p.ID))
-			}
-			seen[p.ID] = true
-			if p.Src < 0 || p.Src >= g.Nodes() || p.Dst < 0 || p.Dst >= g.Nodes() {
-				panic(fmt.Sprintf("mesh: packet %d endpoints out of range", p.ID))
-			}
-			p.Rand = root.Split(uint64(p.ID))
-			p.Injected = 0
-			p.Arrived = -1
+			adm.Admit(p)
 			p.At = p.Src
 			r.initStages(p)
 			if dir, done := r.nextDir(p, p.Src); done {

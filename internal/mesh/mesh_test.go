@@ -7,6 +7,7 @@ import (
 
 	"pramemu/internal/packet"
 	"pramemu/internal/prng"
+	"pramemu/internal/testio"
 )
 
 func permPackets(g *Grid, perm []int) []*packet.Packet {
@@ -204,25 +205,14 @@ func TestQueueSizeModest(t *testing.T) {
 
 func TestRoutePanics(t *testing.T) {
 	g := New(4)
-	for name, f := range map[string]func(){
-		"duplicate ids": func() {
-			Route(g, []*packet.Packet{
-				packet.New(1, 0, 1, packet.Transit),
-				packet.New(1, 2, 3, packet.Transit),
-			}, Options{})
-		},
-		"out of range": func() {
-			Route(g, []*packet.Packet{packet.New(0, 0, 99, packet.Transit)}, Options{})
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s should panic", name)
-				}
-			}()
-			f()
-		}()
+	for _, c := range testio.AdmissionCases("mesh", g.Nodes()) {
+		t.Run(c.Name, func(t *testing.T) {
+			testio.MustPanicWith(t, c.Want, func() { Route(g, c.Pkts, Options{}) })
+		})
+	}
+	pkts := testio.AdmittedIDs()
+	if st := Route(g, pkts, Options{Seed: 3}); st.DeliveredRequests != len(pkts) {
+		t.Fatalf("delivered %d of %d packets with out-of-bitset IDs", st.DeliveredRequests, len(pkts))
 	}
 }
 

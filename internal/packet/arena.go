@@ -41,7 +41,11 @@ func NewArena() *Arena { return &Arena{} }
 // round 0 — packet.New, but from the arena's slabs. Recycled slots
 // keep the capacity of their Path, Children and CombinedAt slices, so
 // a run that records paths stops allocating per-hop once the arena
-// has been through one Reset cycle at the same shape.
+// has been through one Reset cycle at the same shape. They keep their
+// Rand Source too, still holding the last run's stream: a router's
+// admission (see Admission) reseeds it in place with
+// prng.Source.SplitInto, so a recycled packet draws exactly what a
+// fresh one would without a new Source per packet per run.
 func (a *Arena) New(id, src, dst int, kind Kind) *Packet {
 	slab, slot := a.n/arenaSlabSize, a.n%arenaSlabSize
 	if slab == len(a.slabs) {
@@ -52,9 +56,9 @@ func (a *Arena) New(id, src, dst int, kind Kind) *Packet {
 		a.hw = a.n
 	}
 	p := &a.slabs[slab][slot]
-	path, children, combinedAt := p.Path[:0], p.Children[:0], p.CombinedAt[:0]
+	path, children, combinedAt, rand := p.Path[:0], p.Children[:0], p.CombinedAt[:0], p.Rand
 	*p = Packet{ID: id, Src: src, Dst: dst, Kind: kind, Arrived: -1}
-	p.Path, p.Children, p.CombinedAt = path, children, combinedAt
+	p.Path, p.Children, p.CombinedAt, p.Rand = path, children, combinedAt, rand
 	return p
 }
 

@@ -63,6 +63,13 @@ func (s *Source) Split(i uint64) *Source {
 	return &src
 }
 
+// SplitInto reseeds dst in place as the i-th substream of s: after it,
+// dst draws exactly what Split(i) would, but no Source is allocated.
+// A caller that keeps one Source per entity across runs (the packet
+// arena keeps each packet's) reseeds it each run instead of splitting
+// a new one.
+func (s *Source) SplitInto(i uint64, dst *Source) { *dst = s.split(i) }
+
 // split is Split by value (see seeded).
 func (s *Source) split(i uint64) Source {
 	sm := s.seed ^ 0x6a09e667f3bcc909

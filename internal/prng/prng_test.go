@@ -186,3 +186,28 @@ func BenchmarkIntn(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestSplitIntoMatchesSplit pins SplitInto to Split: a Source reseeded
+// in place, even one that has already drawn from another stream, draws
+// exactly what a freshly split one does, and reseeding allocates
+// nothing.
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	dst := New(0)
+	for _, seed := range []uint64{0, 1, 31, 1991, 1 << 40, math.MaxUint64} {
+		root := New(seed)
+		for _, i := range []uint64{0, 1, 2, 63, 64, 1000, 1 << 31, math.MaxUint64} {
+			dst.Uint64() // leave stale state behind
+			root.SplitInto(i, dst)
+			want := root.Split(i)
+			for k := 0; k < 8; k++ {
+				if a, b := dst.Uint64(), want.Uint64(); a != b {
+					t.Fatalf("seed %d index %d draw %d: SplitInto %x, Split %x", seed, i, k, a, b)
+				}
+			}
+		}
+	}
+	root := New(7)
+	if allocs := testing.AllocsPerRun(100, func() { root.SplitInto(3, dst) }); allocs != 0 {
+		t.Fatalf("SplitInto allocated %.1f objects, want 0", allocs)
+	}
+}

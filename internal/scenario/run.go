@@ -185,14 +185,14 @@ func RunCellContext(ctx context.Context, c Cell) (res Result, err error) {
 		lease = leases.Get(lk)
 		defer leases.Put(lk, lease)
 	}
-	skel, trial, err := router(ctx, b, gen, p, c, &ms, lease)
+	arena := packet.GetArena()
+	defer packet.PutArena(arena)
+	skel, trial, err := router(ctx, b, gen, p, c, &ms, lease, arena)
 	if err != nil {
 		return Result{}, err
 	}
 	rounds := make([]int, 0, c.Trials)
 	maxQs := make([]int, 0, c.Trials)
-	arena := packet.GetArena()
-	defer packet.PutArena(arena)
 	start := time.Now()
 	for t := 0; t < c.Trials; t++ {
 		if err := ctx.Err(); err != nil {
@@ -329,8 +329,10 @@ type trialFunc func(pkts []*packet.Packet, s uint64) (rounds, maxQ int, err erro
 // serves erew cells on the mesh, the generic topology adapter the
 // rest. Event cells route generically even on the mesh: the §3.4
 // three-stage router is a synchronous construction. p arrives
-// pre-defaulted and validated by RunCellContext.
-func router(ctx context.Context, b topology.Built, gen workload.Generator, p workload.Params, c Cell, ms *engine.MemStats, lease *engine.Lease) (*Result, trialFunc, error) {
+// pre-defaulted and validated by RunCellContext; arena is the cell's
+// packet arena, which emulation-mode trials reuse for the step's
+// request packets.
+func router(ctx context.Context, b topology.Built, gen workload.Generator, p workload.Params, c Cell, ms *engine.MemStats, lease *engine.Lease, arena *packet.Arena) (*Result, trialFunc, error) {
 	res := &Result{Family: c.Topo.Family}
 	if c.Engine == "" && meshRouted(b, c.Topo, gen.Class, c.Mode) {
 		alg, err := meshAlgorithm(c.Algorithm)
@@ -349,7 +351,7 @@ func router(ctx context.Context, b topology.Built, gen workload.Generator, p wor
 		res.Algorithm, res.Discipline = algName(c.Algorithm), discName(c.Discipline)
 		if c.Mode != "" {
 			res.View = "mesh(§3.3)"
-			return res, emulTrial(res, &emul.MeshNetwork{G: g, Opts: opts}, gen, c), nil
+			return res, emulTrial(res, &emul.MeshNetwork{G: g, Opts: opts}, gen, c, arena), nil
 		}
 		if gen.Class == workload.ClassLocal {
 			opts.LocalityBound = p.D
@@ -382,7 +384,7 @@ func router(ctx context.Context, b topology.Built, gen workload.Generator, p wor
 		}
 		net.Context, net.SkipPhase1, net.MemBudget = ctx, c.SkipPhase1, c.MemBudget
 		net.MemStats, net.Lease = ms, lease
-		return res, emulTrial(res, net, gen, c), nil
+		return res, emulTrial(res, net, gen, c, arena), nil
 	}
 	res.Topology, res.Nodes, res.Diameter = b.Name(), b.Nodes(), b.Diameter()
 	if useSpec {
@@ -424,9 +426,13 @@ func router(ctx context.Context, b topology.Built, gen workload.Generator, p wor
 // combining enabled on crcw cells — and the trial's rounds are the
 // step's total cost including any rehash penalty. Each trial draws a
 // fresh hash function from the trial seed, so results derive from the
-// spec alone. It fills res from the adapter, and the returned step
-// accumulates Merges, Rehashes and MaxModuleLoad into it.
-func emulTrial(res *Result, net emul.Network, gen workload.Generator, c Cell) trialFunc {
+// spec alone. The step's request packets are carved from the cell's
+// arena: the workload packets in it are dead once StepRequests has
+// read them, and a step has at most one request per workload packet,
+// so the arena's high-water mark (ArenaBytes) does not move. It fills
+// res from the adapter, and the returned step accumulates Merges,
+// Rehashes and MaxModuleLoad into it.
+func emulTrial(res *Result, net emul.Network, gen workload.Generator, c Cell, arena *packet.Arena) trialFunc {
 	res.Topology, res.Nodes, res.Diameter, res.Mode = net.Name(), net.Nodes(), net.Diameter(), c.Mode
 	return func(pkts []*packet.Packet, s uint64) (int, int, error) {
 		reqs := workload.StepRequests(gen.Class, net.Nodes(), pkts)
@@ -435,6 +441,7 @@ func emulTrial(res *Result, net emul.Network, gen workload.Generator, c Cell) tr
 			Seed:    s * 31,
 			Combine: c.Mode == ModeCRCW,
 			Workers: c.Workers,
+			Arena:   arena,
 		})
 		if err != nil {
 			return 0, 0, err

@@ -6,6 +6,7 @@ import (
 
 	"pramemu/internal/packet"
 	"pramemu/internal/prng"
+	"pramemu/internal/testio"
 )
 
 // ring is a minimal bidirectional ring topology for black-box
@@ -265,5 +266,21 @@ func TestOversizedTopologyReturnsError(t *testing.T) {
 	_, err := Route(hugeTopo{ring{4}}, nil, Options{Seed: 1})
 	if err == nil {
 		t.Fatal("Route accepted a topology beyond the node-id limit")
+	}
+}
+
+// TestRoutePanics pins the admission check's refusals and their exact
+// messages, on both sides of its ID bitset, and routes unique IDs
+// that fall outside it.
+func TestRoutePanics(t *testing.T) {
+	topo := ring{4}
+	for _, c := range testio.AdmissionCases("simnet", topo.Nodes()) {
+		t.Run(c.Name, func(t *testing.T) {
+			testio.MustPanicWith(t, c.Want, func() { Route(topo, c.Pkts, Options{}) })
+		})
+	}
+	pkts := testio.AdmittedIDs()
+	if st := mustRoute(t, topo, pkts, Options{Seed: 3}); st.DeliveredRequests != len(pkts) {
+		t.Fatalf("delivered %d of %d packets with out-of-bitset IDs", st.DeliveredRequests, len(pkts))
 	}
 }

@@ -1,6 +1,8 @@
 // Package testio provides test helpers for exercising the cmd/ and
 // examples/ binaries in-process: their main paths print to os.Stdout,
 // so smoke tests swap it for a pipe and assert on the captured text.
+// It also holds the injection cases every router's admission check
+// must refuse, shared by the simnet, leveled and mesh tests.
 package testio
 
 import (

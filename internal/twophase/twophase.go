@@ -15,7 +15,6 @@ import (
 
 	"pramemu/internal/engine"
 	"pramemu/internal/packet"
-	"pramemu/internal/prng"
 )
 
 // Options configures a routing run of either router.
@@ -130,8 +129,9 @@ type Core struct {
 }
 
 // Run routes pkts on an engine built from eo. It admits every packet
-// (unique ID, endpoints in range, its own PRNG stream split from the
-// seed, timestamps reset, path started at Src) and hands it to start
+// (packet.Admission: unique ID, endpoints in range, its own PRNG
+// stream from the seed, timestamps reset; then its path started at
+// Src) and hands it to start
 // for its first hop; handle and, when Opts.Combine is set, combine
 // drive the rest. It stores the engine's memory stats in Opts.MemStats.
 func (c *Core) Run(eo engine.Options, pkts []*packet.Packet, start func(*engine.Ctx, *packet.Packet), handle engine.Handler, combine engine.Combiner) Stats {
@@ -141,20 +141,9 @@ func (c *Core) Run(eo engine.Options, pkts []*packet.Packet, start func(*engine.
 	}
 	record := c.Opts.Record()
 	st := eng.Run(func(ctx *engine.Ctx) {
-		root := prng.New(c.Opts.Seed)
-		seen := make(map[int]bool, len(pkts))
+		adm := packet.NewAdmission(c.Name, c.Nodes, len(pkts), c.Opts.Seed)
 		for _, p := range pkts {
-			if seen[p.ID] {
-				panic(fmt.Sprintf("%s: duplicate packet ID %d", c.Name, p.ID))
-			}
-			seen[p.ID] = true
-			if p.Src < 0 || p.Src >= c.Nodes || p.Dst < 0 || p.Dst >= c.Nodes {
-				panic(fmt.Sprintf("%s: packet %d endpoints out of range", c.Name, p.ID))
-			}
-			p.Rand = root.Split(uint64(p.ID))
-			p.Injected = 0
-			p.EnqueuedAt = 0
-			p.Arrived = -1
+			adm.Admit(p)
 			if record {
 				p.Path = append(p.Path[:0], int32(p.Src))
 			}
