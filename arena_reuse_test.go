@@ -99,7 +99,7 @@ func TestArenaReuseMatchesFreshPackets(t *testing.T) {
 
 // TestWarmRouteAllocationsDoNotGrow bounds a warm simnet.Route's
 // allocations: with the packets recycled from an arena (paths and
-// Rand Sources kept) and the engine's tables and scratch from a Lease,
+// Rand Sources kept) and the engine kept by a Lease,
 // a run allocates only its fixed set-up, the same count at 120 packets
 // as at 720.
 func TestWarmRouteAllocationsDoNotGrow(t *testing.T) {

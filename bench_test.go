@@ -455,7 +455,7 @@ func BenchmarkE15EngineHotPath(b *testing.B) {
 			}).Rounds
 		}},
 		{"mesh128-perm", func(a *packet.Arena, seed uint64, hashed bool) int {
-			g := mesh.New(128) // 16384 nodes, furthest-first heaps
+			g := mesh.New(128) // 16384 nodes, furthest-first sorted queues
 			pkts := workload.PermutationInto(a, g.Nodes(), packet.Transit, seed)
 			return mesh.Route(g, pkts, mesh.Options{
 				Seed: seed * 31, Workers: 1, MemBudget: hashedBudget(hashed),

@@ -136,7 +136,7 @@ func equivalenceCases() []simCase {
 			return st, tracesOf(pkts)
 		}},
 		{"mesh24", func(seed uint64, workers int) (any, []ptrace) {
-			g := mesh.New(24) // 576 nodes, furthest-first heaps
+			g := mesh.New(24) // 576 nodes, furthest-first sorted queues
 			pkts := workload.Permutation(g.Nodes(), packet.Transit, seed)
 			st := mesh.Route(g, pkts, mesh.Options{Seed: seed * 31, Workers: workers})
 			return st, tracesOf(pkts)

@@ -45,11 +45,11 @@ type TopologyNetwork struct {
 	// MemStats, when non-nil, receives the resolved state and memory
 	// footprint of each routed step (the last step's values persist).
 	MemStats *engine.MemStats
-	// Lease, when non-nil, recycles engine table and scratch
-	// allocations across the adapter's routed steps (emulated steps
-	// route with replies and therefore resolve to the hashed state,
-	// where the lease is a no-op today — the field keeps the adapter
-	// uniform with the routers it wraps).
+	// Lease, when non-nil, keeps the engine between the adapter's
+	// routed steps (see engine.Options.Lease). Emulated steps route
+	// with replies and therefore resolve to the hashed state, whose
+	// engines are never kept, so the lease is a no-op today — the
+	// field keeps the adapter uniform with the routers it wraps.
 	Lease *engine.Lease
 }
 

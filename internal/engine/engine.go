@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 
 	"pramemu/internal/packet"
@@ -129,15 +130,14 @@ type Options struct {
 	// one with no Context at all — the poll reads no randomness and
 	// touches no simulation state.
 	Context context.Context
-	// Lease, when non-nil, recycles the engine's per-shard table,
-	// page, active-list and scratch allocations across runs of the
-	// same shape (see Lease). A stocked lease whose shape matches is
-	// adopted in New; a completed Run hands the buffers back. Reuse is
-	// bit-invisible: adopted buffers are empty by the drain/clear
-	// invariants, so results and MemStats are identical with or
-	// without a lease. An engine given a Lease is single-run — Run
-	// donates its buffers when it returns. Dense and paged states
-	// only; hashed and event engines ignore the lease.
+	// Lease, when non-nil, keeps the engine between runs of the same
+	// shape (see Lease): a completed Run hands the engine to the lease,
+	// and the next New with it re-arms that engine instead of building
+	// one. Reuse is bit-invisible: results and MemStats are identical
+	// with or without a lease. Once Run has handed it back, the engine
+	// belongs to the lease, and running it again without New panics.
+	// Dense and paged states only; hashed and event engines ignore the
+	// lease.
 	Lease *Lease
 }
 
@@ -147,7 +147,7 @@ type Options struct {
 type Ctx struct {
 	stats  Stats
 	loads  []int // per-node load sums, indexed by node; see AddLoad
-	rand   *prng.Source
+	rand   prng.Source
 	mask   uint64
 	dense  bool        // shard by the key's low bits, not shardOf
 	maxKey uint64      // declared key bound; 0 declares none
@@ -199,7 +199,7 @@ func (c *Ctx) AddLoad(node, delta int) {
 // stream must only feed decisions that cannot affect simulation output
 // (randomized data structures, sampling for diagnostics); randomness
 // that shapes the simulation belongs in per-packet streams.
-func (c *Ctx) Rand() *prng.Source { return c.rand }
+func (c *Ctx) Rand() *prng.Source { return &c.rand }
 
 // shard owns a partition of the link queues. Its link state is one of
 // three layouts — a flat table, a paged table or a hashed index — and the
@@ -219,9 +219,10 @@ type shard struct {
 	// allocation-free).
 	pages     []*[pageSize]Link
 	pageCount int
-	// pageFree holds drained pages harvested by an adopted Lease;
-	// first touch draws from it before the heap. Recycled pages are
-	// all-empty by the drain invariant, so reuse is bit-invisible.
+	// pageFree holds the drained pages a kept engine's arm took out of
+	// the directory; first touch draws from it before the heap.
+	// Recycled pages are all-empty by the drain invariant, so reuse is
+	// bit-invisible.
 	pageFree []*[pageSize]Link
 	// links is the hashed (StateHashed) layout, an open-addressed
 	// index keyed by link key (see linkIndex).
@@ -241,7 +242,7 @@ type shard struct {
 
 // Engine runs the synchronous round loop over sharded link state.
 type Engine struct {
-	pool      *Pool
+	pool      Pool
 	shards    []shard
 	mask      uint64
 	less      func(a, b *packet.Packet) bool
@@ -250,9 +251,8 @@ type Engine struct {
 	seed      uint64
 	event     *EventOptions   // nil = synchronous round loop
 	ctx       context.Context // nil = unbounded run
-	lease     *Lease          // nil = no cross-run buffer reuse
-	tableSize int             // per-shard dense/paged slots (the lease shape key)
-	mem       *MemStats       // pricing snapshot taken when a lease detaches the tables
+	lease     *Lease          // where Finish keeps the engine; nil = nowhere
+	tableSize int             // per-shard dense/paged slots (part of the lease shape)
 
 	// Per-run state referenced by the preallocated phase closures, so
 	// a steady-state round performs no closure or interface
@@ -269,8 +269,11 @@ type Engine struct {
 // costs more than it saves.
 const parallelThreshold = 256
 
-// New builds an engine. The shard count is the smallest power of two
-// covering the worker count, so each worker owns about one shard.
+// New builds an engine in three steps: it resolves the layout ladder,
+// takes the engine a Lease keeps when its shape matches (or builds a
+// new one), and arms the run's own fields. The shard count is the
+// smallest power of two covering the worker count, so each worker
+// owns about one shard.
 func New(opts Options) *Engine {
 	var eventOpts *EventOptions
 	if opts.Event != nil {
@@ -284,14 +287,17 @@ func New(opts Options) *Engine {
 		// eventLoop), so the shard tables stay unallocated.
 		opts.Workers = 1
 	}
-	pool := NewPool(opts.Workers)
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	nshards := 1
-	for nshards < pool.Workers() && nshards < 64 {
+	for nshards < workers && nshards < 64 {
 		nshards *= 2
 	}
 	shift := uint(bits.TrailingZeros(uint(nshards)))
 	state, degraded := StateHashed, false
-	tableSize, numPages := 0, 0
+	tableSize := 0
 	if eventOpts != nil {
 		// The event loop's fixed footprint is its dense link index, one
 		// int32 per declared key; flat-table sizes get it, and larger or
@@ -304,7 +310,7 @@ func New(opts Options) *Engine {
 		}
 	} else if opts.MaxKey > 0 && opts.MaxKey <= pagedKeyLimit {
 		tableSize = int((opts.MaxKey-1)>>shift) + 1
-		numPages = (tableSize-1)>>pageBits + 1
+		numPages := int64((tableSize-1)>>pageBits + 1)
 		// The budget gates the fixed footprint — everything a layout
 		// allocates before a single key is touched: flat slots for
 		// StateDense, the page directory for StatePaged. Each rung that
@@ -318,73 +324,59 @@ func New(opts Options) *Engine {
 				state, degraded = StatePaged, true
 			}
 		}
-		if state == StatePaged && over(int64(nshards)*int64(numPages)*8) {
+		if state == StatePaged && over(int64(nshards)*numPages*8) {
 			state, degraded = StateHashed, true
 		}
 	}
+	// Only round-loop dense and paged engines are kept: a kept hashed
+	// index holds its peak footprint between runs, which raised
+	// pram-step's max RSS by 9.5 MiB for no speed (DESIGN.md), and the
+	// event loop builds its own state per run.
+	var lease *Lease
+	var e *Engine
+	if l := opts.Lease; l != nil && eventOpts == nil && state != StateHashed {
+		lease = l
+		if k := l.eng; k != nil && k.state == state && len(k.shards) == nshards && k.tableSize == tableSize {
+			e = k
+		}
+		l.eng = nil
+	}
+	if e == nil {
+		e = build(state, nshards, tableSize, eventOpts != nil)
+	}
+	e.arm(opts, workers, degraded, eventOpts, lease)
+	return e
+}
+
+// build allocates an engine of one shape: nshards shards whose link
+// state is laid out as state, tableSize slots each on the dense and
+// paged layouts. Everything a run sets is left to arm.
+func build(state State, nshards, tableSize int, event bool) *Engine {
 	e := &Engine{
-		pool:      pool,
 		shards:    make([]shard, nshards),
 		mask:      uint64(nshards - 1),
-		less:      opts.Less,
 		state:     state,
-		degraded:  degraded,
-		seed:      opts.Seed,
-		event:     eventOpts,
-		ctx:       opts.Context,
 		tableSize: tableSize,
 	}
-	// A lease attaches only on the dense states it can stock; its
-	// buffers are adopted when the stocked shape matches, otherwise
-	// the run allocates fresh and restocks the lease at release.
-	var adopt []leaseShard
-	if l := opts.Lease; l != nil && eventOpts == nil && (state == StateDense || state == StatePaged) {
-		e.lease = l
-		if l.matches(state, nshards, tableSize) {
-			adopt = l.shards
-			l.shards = nil
-		}
-	}
-	// The shard streams come off a tweaked root so they never collide
-	// with the per-packet streams Split off prng.New(seed) directly.
-	root := prng.New(opts.Seed ^ 0xa5a5a5a5a5a5a5a5)
+	shift := uint(bits.TrailingZeros(uint(nshards)))
 	for i := range e.shards {
 		sh := &e.shards[i]
 		switch {
-		case eventOpts != nil:
+		case event:
 		case state == StateDense:
-			if adopt != nil {
-				sh.table = adopt[i].table
-			} else {
-				sh.table = make([]Link, tableSize)
-			}
+			sh.table = make([]Link, tableSize)
 			sh.shift = shift
 		case state == StatePaged:
-			if adopt != nil {
-				sh.pages = adopt[i].pages
-				sh.pageFree = adopt[i].pageFree
-			} else {
-				sh.pages = make([]*[pageSize]Link, numPages)
-			}
+			sh.pages = make([]*[pageSize]Link, (tableSize-1)>>pageBits+1)
 			sh.shift = shift
 		default:
 			sh.links = newLinkIndex()
 		}
 		sh.ctx = Ctx{
-			rand:   root.Split(uint64(i)),
-			mask:   e.mask,
-			dense:  state != StateHashed,
-			maxKey: opts.MaxKey,
-			shard:  i,
-			out:    make([][]Arrival, nshards),
-		}
-		if adopt != nil {
-			sh.active = adopt[i].active
-			sh.inbox = adopt[i].inbox
-			sh.scratch = adopt[i].scratch
-			if len(adopt[i].out) == nshards {
-				sh.ctx.out = adopt[i].out
-			}
+			mask:  e.mask,
+			dense: state != StateHashed,
+			shard: i,
+			out:   make([][]Arrival, nshards),
 		}
 	}
 	e.drainFn = func(_, lo, hi int) {
@@ -398,6 +390,41 @@ func New(opts Options) *Engine {
 		}
 	}
 	return e
+}
+
+// arm sets what belongs to one run rather than to the engine's shape,
+// so a kept engine starts as a built one would: the pool width, queue
+// order, context, key bound, budget demotion, seed and shard streams.
+// A kept paged engine's touched pages move to the free list, so the
+// run re-touches them one by one (off the list, not the heap) and its
+// pageCount — and so its MemStats — equals a cold run's. Tables,
+// active lists and scratch need nothing: Finish keeps only a drained
+// engine, with its scratch cleared.
+func (e *Engine) arm(opts Options, workers int, degraded bool, event *EventOptions, lease *Lease) {
+	e.pool.workers = workers
+	e.less = opts.Less
+	e.ctx = opts.Context
+	e.degraded = degraded
+	e.seed = opts.Seed
+	e.event = event
+	e.lease = lease
+	// The shard streams come off a tweaked root so they never collide
+	// with the per-packet streams Split off prng.New(seed) directly.
+	root := prng.New(opts.Seed ^ 0xa5a5a5a5a5a5a5a5)
+	for i := range e.shards {
+		sh := &e.shards[i]
+		root.SplitInto(uint64(i), &sh.ctx.rand)
+		sh.ctx.maxKey = opts.MaxKey
+		if sh.pageCount > 0 {
+			for j, pg := range sh.pages {
+				if pg != nil {
+					sh.pageFree = append(sh.pageFree, pg)
+					sh.pages[j] = nil
+				}
+			}
+			sh.pageCount = 0
+		}
+	}
 }
 
 // Workers returns the effective worker count (after the GOMAXPROCS
@@ -446,6 +473,9 @@ func (e *Engine) Start(handle Handler, combine Combiner) {
 	if e.event != nil {
 		panic("engine: Start on an event engine")
 	}
+	if e.lease != nil && e.lease.eng == e {
+		panic("engine: run on an engine its Lease keeps; build the next run with New")
+	}
 	e.handle, e.combine = handle, combine
 	e.round = 0
 }
@@ -475,12 +505,24 @@ func (e *Engine) Step(inject func(ctx *Ctx)) (live int) {
 }
 
 // Finish ends a stepped run: it clears the retained scratch buffers,
-// hands the tables back to the Lease, if any, and returns the folded
-// statistics.
+// hands the engine to its Lease, if any, and returns the folded
+// statistics. Only a drained engine is kept, so the next New on the
+// lease starts from empty queues; a run that aborted (engine.Abort)
+// unwinds past Finish and is never kept at all. A kept engine drops
+// the run's callbacks, comparator and context, so it pins nothing its
+// caller owns while it waits in the lease, and its module-load slices,
+// which cost more resident memory across a sweep's idle leases than
+// their regrowth costs the next run.
 func (e *Engine) Finish() Stats {
 	out := e.collect()
 	e.clearScratch()
-	e.releaseLease()
+	if e.lease != nil && e.live() == 0 {
+		e.handle, e.combine, e.less, e.ctx = nil, nil, nil, nil
+		for i := range e.shards {
+			e.shards[i].ctx.loads = nil
+		}
+		e.lease.eng = e
+	}
 	return out
 }
 
@@ -659,8 +701,8 @@ func (sh *shard) link(key uint64) *Link {
 }
 
 // insert returns the Link of key for an arrival. A paged insert
-// allocates the key's page on first touch (recycling a leased page
-// when one is free), and a hashed one claims an index slot; either
+// allocates the key's page on first touch (recycling a free page
+// when there is one), and a hashed one claims an index slot; either
 // happens only for an empty link, which the arrival then joins, so
 // combined-away arrivals cost no page. Pages are retained once
 // allocated, so a warm round stays allocation-free.
@@ -690,7 +732,7 @@ func (sh *shard) emptied(key uint64) {
 	}
 }
 
-// takePage recycles a lease-harvested page or constructs a fresh one.
+// takePage recycles a page arm freed or constructs a fresh one.
 // Recycled pages are all-empty by the drain invariant, so first-touch
 // behavior is identical either way.
 func (sh *shard) takePage() *[pageSize]Link {

@@ -580,8 +580,9 @@ func checkEmptyLinks(t *testing.T, what string, links []Link) {
 // check: a completed run leaves every flat slot, page slot and
 // link-index slot the zero Link, and every delivered packet unchained
 // (Next == nil), on all three layouts. The dense and paged runs go
-// through a Lease, so the second pass also checks a run on adopted
-// buffers, and the check reads the slots where the lease holds them.
+// through a Lease, so the second pass also checks a run on a kept
+// engine, and the check reads the tables and pages of the engine the
+// lease keeps.
 func TestDrainedRunLeavesEmptyLinks(t *testing.T) {
 	const npkts, starts, length = 200, 10, 60
 	for _, c := range []struct {
@@ -618,21 +619,27 @@ func TestDrainedRunLeavesEmptyLinks(t *testing.T) {
 					t.Fatalf("%s: delivered packet %d still chained", what, p.ID)
 				}
 			}
+			if c.want != StateHashed && lease.eng != eng {
+				t.Fatalf("%s: the lease does not keep the completed engine", what)
+			}
 			switch c.want {
 			case StateDense:
-				for _, ls := range lease.shards {
-					checkEmptyLinks(t, what+" flat table", ls.table)
+				for i := range eng.shards {
+					checkEmptyLinks(t, what+" flat table", eng.shards[i].table)
 				}
 			case StatePaged:
 				pages := 0
-				for _, ls := range lease.shards {
-					for _, pg := range ls.pageFree {
-						checkEmptyLinks(t, what+" page", pg[:])
-						pages++
+				for i := range eng.shards {
+					sh := &eng.shards[i]
+					for _, pg := range append(slices.Clip(sh.pageFree), sh.pages...) {
+						if pg != nil {
+							checkEmptyLinks(t, what+" page", pg[:])
+							pages++
+						}
 					}
 				}
 				if pages == 0 {
-					t.Fatalf("%s: no touched page reached the lease", what)
+					t.Fatalf("%s: the kept engine holds no touched page", what)
 				}
 			default:
 				for i := range eng.shards {

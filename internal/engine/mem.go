@@ -78,13 +78,9 @@ const hashedEntryBytes = 48
 
 // MemStats reports the engine's resolved state and link-table
 // footprint. Call it after Run: the paged page count and the hashed
-// peak-live estimate both reflect what the run actually touched.
+// peak-live estimate both reflect what the run actually touched. A
+// leased engine answers until the next New on its Lease re-arms it.
 func (e *Engine) MemStats() MemStats {
-	// A leased engine donated its tables when Run completed; the
-	// snapshot taken at release preserves what the run actually used.
-	if e.mem != nil {
-		return *e.mem
-	}
 	m := MemStats{State: e.state, Degraded: e.degraded}
 	switch e.state {
 	case StateDense:

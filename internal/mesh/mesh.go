@@ -132,10 +132,10 @@ type Options struct {
 	// MemStats, when non-nil, receives the engine's resolved state and
 	// table footprint after the run.
 	MemStats *engine.MemStats
-	// Lease, when non-nil, recycles the engine's table and scratch
-	// allocations across same-shape runs (see engine.Options.Lease);
-	// results are bit-identical with or without it. Queue free lists
-	// are never leased, so the discipline closure stays per-run.
+	// Lease, when non-nil, keeps the engine between same-shape runs,
+	// and each run re-arms it with its own seed and queue discipline
+	// (see engine.Options.Lease); results are bit-identical with or
+	// without it.
 	Lease *engine.Lease
 }
 

@@ -281,18 +281,18 @@ func emulMemorySize(nodes int) uint64 {
 	return m
 }
 
-// leases recycles engine table and scratch allocations across cells:
-// a cell checks a Lease out for its trials (the engine adopts it when
-// the shape matches, reallocates otherwise) and returns it when done.
-// Reuse is bit-invisible — the engine's drain/clearScratch invariants
-// leave returned buffers logically empty — so pooled and fresh cells
-// produce identical artifacts.
-var leases = engine.NewLeasePool(0)
+// leases keeps round engines across cells: a cell checks a Lease out
+// for its trials (New reruns the engine it keeps when the shape
+// matches, builds a new one otherwise) and returns it when done.
+// Reuse is bit-invisible — a kept engine has drained its queues and
+// cleared its scratch, and New re-arms every per-run field — so pooled
+// and fresh cells produce identical artifacts.
+var leases = engine.NewLeasePool()
 
 // leaseKey buckets cells whose engines resolve to identically-shaped
-// state, so a pooled lease usually matches on adoption. The key is a
-// heuristic only: the engine re-checks the actual shape and
-// reallocates on mismatch, so a coarse bucket costs a miss, never
+// state, so a pooled lease usually keeps a matching engine. The key
+// is a heuristic only: New re-checks the actual shape and builds a new
+// engine on mismatch, so a coarse bucket costs a miss, never
 // correctness.
 func leaseKey(c Cell) string {
 	return fmt.Sprintf("%s/n=%d/k=%d/lv=%t/m=%s/w=%d/mb=%d",

@@ -53,9 +53,9 @@ type Options struct {
 	// table footprint after the run (ArenaBytes is left to the caller,
 	// which owns the packet arena).
 	MemStats *engine.MemStats
-	// Lease, when non-nil, recycles the engine's table and scratch
-	// allocations across same-shape runs (see engine.Options.Lease);
-	// results are bit-identical with or without it.
+	// Lease, when non-nil, keeps the engine between same-shape runs
+	// (see engine.Options.Lease); results are bit-identical with or
+	// without it.
 	Lease *engine.Lease
 	// Event, when non-nil, routes on the asynchronous discrete-event
 	// engine instead of synchronous rounds (see engine.EventOptions).
