@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -40,8 +41,10 @@ type Handler func(ctx *Ctx, a Arrival, round int)
 // Combiner is consulted before an arrival is enqueued: given the
 // destination link's non-empty queue it may absorb the packet into a
 // queued one (Theorem 2.6 message combining) and return true to skip
-// the insertion. It runs on the shard owning the queue, so it may
-// freely mutate queued packets — but not their Next links.
+// the insertion. It sees the link's older packets, then the batch's
+// lower-ID packets it did not absorb, whatever the emission order. It
+// runs on the shard owning the queue, so it may freely mutate queued
+// packets — but not their Next links. It cannot pair with Options.Less.
 type Combiner func(ctx *Ctx, l *Link, a Arrival) bool
 
 // flatKeyLimit caps the declared key space the engine will back with
@@ -85,7 +88,8 @@ type Options struct {
 	// Less orders every link queue: a queued packet a crosses before b
 	// when Less(a, b). It must be a strict total order (break ties on
 	// packet ID) over packets that do not change while queued. Nil
-	// selects plain FIFO, the discipline of §2.2.1.
+	// selects plain FIFO, the discipline of §2.2.1. A run with a Less
+	// cannot combine: Start panics when given a Combiner too.
 	Less func(a, b *packet.Packet) bool
 	// MaxKey declares that every key the run will Emit lies in
 	// [0, MaxKey); Emit panics on a key outside it, whatever layout
@@ -145,21 +149,23 @@ type Options struct {
 // and the injection callback. It is never shared between concurrent
 // callbacks, so accumulation needs no locks.
 type Ctx struct {
-	stats  Stats
-	loads  []int // per-node load sums, indexed by node; see AddLoad
-	rand   prng.Source
-	mask   uint64
-	dense  bool        // shard by the key's low bits, not shardOf
-	maxKey uint64      // declared key bound; 0 declares none
-	shard  int         // owning shard index, for diagnostics
-	round  int         // round currently executing on this shard
-	out    [][]Arrival // next-round buffer, bucketed by destination shard
+	stats   Stats
+	loads   []int // per-node load sums, indexed by node; see AddLoad
+	loadLen int   // the length loads reached before Finish dropped it
+	rand    prng.Source
+	mask    uint64
+	dense   bool        // shard by the key's low bits, not shardOf
+	maxKey  uint64      // declared key bound; 0 declares none
+	shard   int         // owning shard index, for diagnostics
+	round   int         // round currently executing on this shard
+	out     [][]Arrival // next-round buffer, bucketed by destination shard
 }
 
 // Emit schedules p to enter the queue of link key next round (or this
 // round's push phase, when called during injection or a pop phase).
-// Arrivals are buffered double-buffer style and sorted by (key, packet
-// ID) before insertion, so emission order never matters. When the run
+// Arrivals are buffered double-buffer style, and each link queues a
+// batch's arrivals by packet ID behind its older packets, so emission
+// order never matters. When the run
 // declared a MaxKey, a key outside [0, MaxKey) panics on every layout:
 // it is a simulator encoding bug that a hashed index would silently absorb.
 func (c *Ctx) Emit(key uint64, p *packet.Packet) {
@@ -186,10 +192,12 @@ func (c *Ctx) Stats() *Stats { return &c.stats }
 // node >= 0). Each shard sums into a slice indexed by node that grows
 // geometrically and is kept, zeroed, for the next run, so a warm
 // delivery costs one indexed add; the end of the run sums the shards
-// node by node into Stats.MaxModuleLoad.
+// node by node into Stats.MaxModuleLoad. A kept engine whose Finish
+// dropped the slice allocates it at its old length on the run's first
+// AddLoad, once, instead of regrowing it by doubling.
 func (c *Ctx) AddLoad(node, delta int) {
 	if node >= len(c.loads) {
-		c.loads = growTo(c.loads, node)
+		c.loads = growTo(c.loads, max(node, c.loadLen-1))
 	}
 	c.loads[node] += delta
 }
@@ -236,8 +244,9 @@ type shard struct {
 	// layout's TableBytes estimate.
 	peakLive int
 	shift    uint
-	inbox    []Arrival // push-phase gather buffer, reused every round
-	scratch  []Arrival // radix-sort spare buffer, reused every round
+	// replay lists the keys of the links a combining push must replay
+	// (see pushShard), reused every round.
+	replay []uint64
 }
 
 // Engine runs the synchronous round loop over sharded link state.
@@ -386,7 +395,7 @@ func build(state State, nshards, tableSize int, event bool) *Engine {
 	}
 	e.pushFn = func(_, lo, hi int) {
 		for s := lo; s < hi; s++ {
-			e.pushShard(s, e.round, e.combine)
+			e.pushShard(s, e.round, e.combine, false)
 		}
 	}
 	return e
@@ -398,8 +407,8 @@ func build(state State, nshards, tableSize int, event bool) *Engine {
 // A kept paged engine's touched pages move to the free list, so the
 // run re-touches them one by one (off the list, not the heap) and its
 // pageCount — and so its MemStats — equals a cold run's. Tables,
-// active lists and scratch need nothing: Finish keeps only a drained
-// engine, with its scratch cleared.
+// active lists and emit buffers need nothing: Finish keeps only a
+// drained engine, with its emit buffers cleared.
 func (e *Engine) arm(opts Options, workers int, degraded bool, event *EventOptions, lease *Lease) {
 	e.pool.workers = workers
 	e.less = opts.Less
@@ -451,7 +460,7 @@ func shardOf(key, mask uint64) int {
 // exactly Start, Step until nothing is live, and Finish.
 //
 // A steady-state round allocates nothing on any layout: link tables,
-// pages, link-index slots, active lists and gather and sort buffers
+// pages, link-index slots, active lists and emit and replay buffers
 // all reach their high-water capacity during warm-up and are reused
 // thereafter, and queued packets chain through their own Next links
 // (the zero-allocation invariant asserted by
@@ -476,8 +485,17 @@ func (e *Engine) Start(handle Handler, combine Combiner) {
 	if e.lease != nil && e.lease.eng == e {
 		panic("engine: run on an engine its Lease keeps; build the next run with New")
 	}
+	e.checkCombiner(combine)
 	e.handle, e.combine = handle, combine
 	e.round = 0
+}
+
+// checkCombiner rejects a Combiner with an Options.Less: the push's
+// replay assumes FIFO chains.
+func (e *Engine) checkCombiner(combine Combiner) {
+	if combine != nil && e.less != nil {
+		panic("engine: a Combiner cannot run with Options.Less")
+	}
 }
 
 // Step runs one round and returns the number of live link queues it
@@ -490,7 +508,9 @@ func (e *Engine) Start(handle Handler, combine Combiner) {
 func (e *Engine) Step(inject func(ctx *Ctx)) (live int) {
 	if inject != nil {
 		inject(&e.shards[0].ctx)
-		e.pool.RunIf(false, len(e.shards), e.pushFn)
+		for s := range e.shards {
+			e.pushShard(s, e.round, e.combine, true)
+		}
 	}
 	e.checkContext()
 	checkRound("round", int64(e.round)+1)
@@ -504,7 +524,7 @@ func (e *Engine) Step(inject func(ctx *Ctx)) (live int) {
 	return live
 }
 
-// Finish ends a stepped run: it clears the retained scratch buffers,
+// Finish ends a stepped run: it clears the retained emit buffers,
 // hands the engine to its Lease, if any, and returns the folded
 // statistics. Only a drained engine is kept, so the next New on the
 // lease starts from empty queues; a run that aborted (engine.Abort)
@@ -512,14 +532,16 @@ func (e *Engine) Step(inject func(ctx *Ctx)) (live int) {
 // the run's callbacks, comparator and context, so it pins nothing its
 // caller owns while it waits in the lease, and its module-load slices,
 // which cost more resident memory across a sweep's idle leases than
-// their regrowth costs the next run.
+// one allocation at their old length costs the next run.
 func (e *Engine) Finish() Stats {
 	out := e.collect()
 	e.clearScratch()
 	if e.lease != nil && e.live() == 0 {
 		e.handle, e.combine, e.less, e.ctx = nil, nil, nil, nil
 		for i := range e.shards {
-			e.shards[i].ctx.loads = nil
+			c := &e.shards[i].ctx
+			c.loadLen = max(c.loadLen, len(c.loads))
+			c.loads = nil
 		}
 		e.lease.eng = e
 	}
@@ -547,7 +569,7 @@ func (e *Engine) collect() Stats {
 		}
 	}
 	for _, v := range sums {
-		maxInto(&out.MaxModuleLoad, v)
+		out.MaxModuleLoad = max(out.MaxModuleLoad, v)
 	}
 	clear(sums)
 	e.shards[0].ctx.loads = sums
@@ -579,19 +601,16 @@ func (e *Engine) checkContext() {
 	}
 }
 
-// clearScratch zeroes the full capacity of every retained gather,
-// sort and emit buffer once the round loop has drained. During a run
-// the slack beyond each round's length holds arrivals from earlier,
-// busier rounds; left unzeroed after Run returns, those slots would
-// pin every delivered packet (and its recorded path) until the next
-// run happens to overwrite them. One sweep at the end costs a single
-// pass; zeroing per round would re-clear the high-water capacity
-// hundreds of times.
+// clearScratch zeroes the full capacity of every retained emit buffer
+// once the round loop has drained. During a run the slack beyond each
+// round's length holds arrivals from earlier, busier rounds; left
+// unzeroed after Run returns, those slots would pin every delivered
+// packet (and its recorded path) until the next run happens to
+// overwrite them. One sweep at the end costs a single pass; zeroing
+// per round would re-clear the high-water capacity hundreds of times.
 func (e *Engine) clearScratch() {
 	for i := range e.shards {
 		sh := &e.shards[i]
-		clear(sh.inbox[:cap(sh.inbox)])
-		clear(sh.scratch[:cap(sh.scratch)])
 		for j, out := range sh.ctx.out {
 			clear(out[:cap(out)])
 			sh.ctx.out[j] = out[:0]
@@ -624,58 +643,99 @@ func (sh *shard) drain(round int, handle Handler) {
 	}
 }
 
-// pushShard moves every arrival destined for shard s into its queues:
-// the shard gathers its bucket from every source context, radix-sorts
-// by (key, ID) — the canonical insertion order that makes queue
-// contents independent of shard layout — and inserts, offering each
-// arrival to the combiner first. The gather and sort buffers are
-// reused as-is between rounds and zeroed once at the end of Run
-// (clearScratch), so their slack never pins packets past the run.
-func (e *Engine) pushShard(s, round int, combine Combiner) {
+// pushShard moves the arrivals emitted for shard s into its queues,
+// walking each source context's bucket in place. No sort is needed: an
+// ordered insert (fifoLess, or Options.Less) puts an arrival behind
+// its link's older packets and among its batch by packet ID, and
+// usually just appends. A combiner must meet the arrivals in that
+// order, so a combining push records each link that held a packet when
+// a fresh one joined (the fresh packets are the chain's suffix, so the
+// tail tells), then replays it: it cuts the fresh packets off and
+// offers them again in ID order. Step's injection (inject set, emitted
+// through shard 0's context) shares the last push's stamp, so fifoLess
+// cannot place it; it is sorted by packet ID and offered in order.
+func (e *Engine) pushShard(s, round int, combine Combiner, inject bool) {
 	sh := &e.shards[s]
 	sh.ctx.round = round
-	buf := sh.inbox[:0]
-	for i := range e.shards {
-		src := &e.shards[i].ctx
-		buf = append(buf, src.out[s]...)
-		src.out[s] = src.out[s][:0]
-	}
-	sorted, spare := sortArrivals(buf, sh.scratch)
 	if sh.table == nil && sh.pages == nil {
 		// A hashed run starts from empty buffers (no Lease stocks
-		// them), so size the index and the active list for the batch
-		// once instead of doubling them key by key.
-		opened := distinctKeys(sorted)
-		sh.links.reserve(opened)
-		sh.active = slices.Grow(sh.active, opened)
-	}
-	for _, a := range sorted {
-		l := sh.insert(a.Key)
-		if l.n == 0 {
-			sh.active = append(sh.active, a.Key)
-			sh.peakLive = max(sh.peakLive, len(sh.active))
-		} else if combine != nil && combine(&sh.ctx, l, a) {
-			continue
+		// them), so size the index and lists for the batch at once.
+		n := 0
+		for i := range e.shards {
+			n += len(e.shards[i].ctx.out[s])
 		}
-		a.P.EnqueuedAt = int32(round)
-		l.push(a.P, e.less)
-		if l.n > sh.ctx.stats.MaxQueue {
-			sh.ctx.stats.MaxQueue = l.n
+		sh.links.reserve(n)
+		sh.active = slices.Grow(sh.active, n)
+		if combine != nil {
+			sh.replay = slices.Grow(sh.replay, n)
 		}
 	}
-	sh.inbox, sh.scratch = sorted[:0], spare[:0]
+	stamp, less := int32(round), e.less
+	if inject {
+		sortByID(e.shards[0].ctx.out[s])
+	} else if less == nil {
+		less = fifoLess
+	}
+	for i := range e.shards {
+		src := &e.shards[i].ctx
+		for _, a := range src.out[s] {
+			a.P.EnqueuedAt = stamp
+			l := sh.insert(a.Key)
+			if l.n == 0 {
+				sh.open(a.Key)
+			} else if !inject && combine != nil {
+				if l.n == 1 || l.tail.EnqueuedAt != stamp {
+					sh.replay = append(sh.replay, a.Key)
+				}
+				l.push(a.P, less)
+				continue
+			}
+			sh.offer(l, a, combine, less)
+		}
+		src.out[s] = src.out[s][:0]
+	}
+	for _, key := range sh.replay {
+		l := sh.link(key)
+		for p, next := l.cut(stamp), (*packet.Packet)(nil); p != nil; p = next {
+			next, p.Next = p.Next, nil
+			sh.offer(l, Arrival{key, p}, combine, nil)
+		}
+	}
+	sh.replay = sh.replay[:0]
 }
 
-// distinctKeys counts the distinct keys of a key-sorted batch: the
-// most links it can open in a push.
-func distinctKeys(sorted []Arrival) int {
-	n := 0
-	for i, a := range sorted {
-		if i == 0 || a.Key != sorted[i-1].Key {
-			n++
-		}
+// offer is the canonical insertion step for a stamped arrival: combine
+// on a non-empty link, else enqueue and update MaxQueue.
+func (sh *shard) offer(l *Link, a Arrival, combine Combiner, less func(a, b *packet.Packet) bool) {
+	if l.n > 0 && combine != nil && combine(&sh.ctx, l, a) {
+		return
 	}
-	return n
+	l.push(a.P, less)
+	sh.ctx.stats.MaxQueue = max(sh.ctx.stats.MaxQueue, l.n)
+}
+
+// open lists a key whose link an arrival is about to open as active.
+func (sh *shard) open(key uint64) {
+	sh.active = append(sh.active, key)
+	sh.peakLive = max(sh.peakLive, len(sh.active))
+}
+
+// fifoLess is a FIFO chain's order: by EnqueuedAt, the round or tick
+// a packet joined the link, then by ID. It and byID are variables so a
+// test can count a push's comparisons.
+var fifoLess = func(a, b *packet.Packet) bool {
+	return a.EnqueuedAt < b.EnqueuedAt || a.EnqueuedAt == b.EnqueuedAt && a.ID < b.ID
+}
+
+// byID compares two arrivals by packet ID.
+var byID = func(x, y Arrival) int { return cmp.Compare(x.P.ID, y.P.ID) }
+
+// sortByID orders an injection batch stably by packet ID. Batches
+// usually come in ID order, which the check finds in one pass.
+func sortByID(batch []Arrival) {
+	if !slices.IsSortedFunc(batch, byID) {
+		slices.SortStableFunc(batch, byID)
+	}
 }
 
 // checkRound panics when round or tick t no longer fits the int32

@@ -287,7 +287,7 @@ func higherIDFirst(a, b *packet.Packet) bool { return a.ID > b.ID }
 
 // TestSteadyStateRoundIsAllocationFree asserts the engine's
 // zero-allocation invariant: once the tables and buffers are warm, an
-// entire sequential Run — injection, every drain and every radix push
+// entire sequential Run — injection, every drain and every push
 // phase — performs zero heap allocations. Every layout preserves it:
 // pages allocate on first touch and are retained, and the hashed
 // layout's link index keeps its grown slots. A stepped run whose every
@@ -465,9 +465,9 @@ func TestStepInjectsBeforeDrain(t *testing.T) {
 }
 
 // TestPushClearsStaleReferences is the scratch-retention regression
-// test: after a run, the retained push-phase buffers must hold no
-// packet pointers, or delivered packets (and their recorded paths)
-// stay reachable until the next run overwrites the slots.
+// test: after a run, the retained emit buffers must hold no packet
+// pointers, or delivered packets (and their recorded paths) stay
+// reachable until the next run overwrites the slots.
 func TestPushClearsStaleReferences(t *testing.T) {
 	for _, maxKey := range []uint64{0, 64} {
 		eng := New(Options{Workers: 1, MaxKey: maxKey})
@@ -484,16 +484,6 @@ func TestPushClearsStaleReferences(t *testing.T) {
 		}, nil)
 		for i := range eng.shards {
 			sh := &eng.shards[i]
-			for _, a := range sh.inbox[:cap(sh.inbox)] {
-				if a.P != nil {
-					t.Fatalf("maxKey=%d: inbox retains packet %d", maxKey, a.P.ID)
-				}
-			}
-			for _, a := range sh.scratch[:cap(sh.scratch)] {
-				if a.P != nil {
-					t.Fatalf("maxKey=%d: scratch retains packet %d", maxKey, a.P.ID)
-				}
-			}
 			for _, out := range sh.ctx.out {
 				for _, a := range out[:cap(out)] {
 					if a.P != nil {
@@ -719,4 +709,21 @@ func TestRoundOverflowPanics(t *testing.T) {
 	mustPanic(t, "tick 2147483648 overflows", func() {
 		loop.run(ctx, func(*Ctx, Arrival, int) {}, nil)
 	})
+}
+
+// TestPoolRunIsAllocationFree: a warm parallel Run reuses the pool's
+// worker closures and panic slots, so a round engine's parallel phases
+// allocate nothing at two workers.
+func TestPoolRunIsAllocationFree(t *testing.T) {
+	p := NewPool(2)
+	var sums [2]int
+	fn := func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sums[w] += i
+		}
+	}
+	p.Run(1000, fn)
+	if allocs := testing.AllocsPerRun(100, func() { p.Run(1000, fn) }); allocs != 0 {
+		t.Fatalf("warm two-worker Run allocated %.1f objects, want 0", allocs)
+	}
 }

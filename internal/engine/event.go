@@ -175,7 +175,7 @@ const maxDropAttempts = 1 << 6
 // The event kinds, in their processing order at equal timestamps. The
 // order reconstructs the round engine's phase structure within a tick:
 // deliveries (the drain) run first, then arrivals enqueue in canonical
-// (key, packet ID) order with the combiner consulted against settled
+// per-link packet ID order with the combiner consulted against settled
 // queues (the push), and only then do links start new transmissions —
 // so an arrival can still combine with a packet departing next tick,
 // exactly as it can in the synchronous push phase.
@@ -234,13 +234,13 @@ const eventIndexBytes = 4
 // otherwise — so every (tick, kind) batch is complete when it runs.
 //
 // Within a batch only arrivals need an order: they enqueue on shared
-// queues and meet the combiner, so their batch is radix-sorted into
-// canonical (key, packet ID) order, exactly as the round engine's push
-// phase is. Deliveries, retransmissions and wakes touch only their own
-// packet, their own link and commutative counters — the handler
-// contract the round engine's drain already relies on, since it walks
-// each shard's active-key list in swap-removal order — so they run in
-// list order. The result is the one a total (time, kind, key, packet
+// queues and meet the combiner, so each link takes them in canonical
+// packet ID order, by the round engine's own ordered insert and
+// combiner replay (see arrive). Deliveries, retransmissions and wakes
+// touch only their own packet, their own link and commutative
+// counters — the handler contract the round engine's drain already
+// relies on, since it walks each shard's active-key list in
+// swap-removal order — so they run in list order. The result is the one a total (time, kind, key, packet
 // ID) order gives.
 type eventLoop struct {
 	e    *Engine
@@ -255,7 +255,7 @@ type eventLoop struct {
 	now     int64 // tick being processed
 	kind    int   // kind being processed (-1 before the tick's first)
 	batch   []Arrival
-	scratch []Arrival
+	replay  []uint64 // links a combining arrival batch replays
 
 	// Link state lives in a chunked slab addressed by link ID; index
 	// (dense, MaxKey entries) or byKey (hashed) maps a key to its
@@ -299,6 +299,7 @@ func unitDraw(seed, key, pid, attempt uint64) float64 {
 // sequential — the wheel order is the only schedule — which is what
 // makes the Workers knob a no-op on results rather than a hazard.
 func (e *Engine) runEvent(inject func(ctx *Ctx), handle Handler, combine Combiner) Stats {
+	e.checkCombiner(combine)
 	ev := e.newEventLoop()
 	ctx := &e.shards[0].ctx
 	if inject != nil {
@@ -357,7 +358,7 @@ func (ev *eventLoop) run(ctx *Ctx, handle Handler, combine Combiner) {
 		ev.now = t
 		for kind := 0; kind < numKinds; kind++ {
 			ev.kind = kind
-			batch := ev.detach(int(t&ev.mask)*numKinds+kind, kind == evArrive)
+			batch := ev.detach(int(t&ev.mask)*numKinds + kind)
 			if len(batch) == 0 {
 				continue
 			}
@@ -372,9 +373,7 @@ func (ev *eventLoop) run(ctx *Ctx, handle Handler, combine Combiner) {
 				}
 				ev.harvest(ctx, t)
 			case evArrive:
-				for _, a := range batch {
-					ev.arrive(ctx, a, t, combine)
-				}
+				ev.arrive(ctx, batch, t, combine)
 			case evRetry:
 				for _, a := range batch {
 					l := ev.link(a.Key)
@@ -417,9 +416,8 @@ func (ev *eventLoop) schedule(at int64, kind int, a Arrival) {
 }
 
 // detach empties one (tick, kind) list into the reused batch buffer
-// and returns its slab slots to the free list, sorting the batch into
-// canonical (key, packet ID) order when asked.
-func (ev *eventLoop) detach(slot int, sorted bool) []Arrival {
+// and returns its slab slots to the free list.
+func (ev *eventLoop) detach(slot int) []Arrival {
 	i := ev.heads[slot]
 	if i < 0 {
 		return nil
@@ -435,40 +433,71 @@ func (ev *eventLoop) detach(slot int, sorted bool) []Arrival {
 		i = next
 	}
 	ev.pending -= len(batch)
-	if sorted {
-		batch, ev.scratch = sortArrivals(batch, ev.scratch)
-	}
 	ev.batch = batch
 	return batch
 }
 
 // harvest converts the context's emitted arrivals into evArrive events
-// at tick t; the batch sort gives them the same canonical insertion
-// order the round engine's radix sort does.
+// at tick t; arrive gives them the round engine's canonical insertion
+// order. A wheel list pops last-in first, so the arrivals are filed
+// last to first and their batch comes out in emission order, which is
+// usually ID order: the tick-0 injection then needs no sort, and a
+// link's arrivals append without walking its queue.
 func (ev *eventLoop) harvest(ctx *Ctx, t int64) {
 	for s, bucket := range ctx.out {
-		for _, a := range bucket {
-			ev.schedule(t, evArrive, a)
+		for i := len(bucket) - 1; i >= 0; i-- {
+			ev.schedule(t, evArrive, bucket[i])
 		}
 		clear(bucket)
 		ctx.out[s] = bucket[:0]
 	}
 }
 
-// arrive enqueues a packet on its link (or combines it away) and
-// wakes the link. Service never starts here: all of a tick's arrivals
-// settle before any of its transmission starts, mirroring the round
-// engine's push-then-drain phase barrier.
-func (ev *eventLoop) arrive(ctx *Ctx, a Arrival, t int64, combine Combiner) {
-	l := ev.link(a.Key)
-	if combine != nil && l.q.n > 0 && combine(ctx, &l.q, a) {
+// arrive enqueues tick t's arrivals on their links (or combines them
+// away) and wakes each link that takes a packet, exactly as the round
+// engine's push does (see pushShard): the tick-0 batch is the
+// injection, sorted by packet ID, and every later batch is younger
+// than all queued packets, so an ordered insert and a combiner replay
+// place it. Service never starts here: all of a tick's arrivals settle
+// before any of its transmission starts, mirroring the round engine's
+// push-then-drain barrier. A repeated wake within a tick does nothing.
+func (ev *eventLoop) arrive(ctx *Ctx, batch []Arrival, t int64, combine Combiner) {
+	stamp, less, inject := int32(t), ev.e.less, t == 0
+	if inject {
+		sortByID(batch)
+	} else if less == nil {
+		less = fifoLess
+	}
+	for _, a := range batch {
+		a.P.EnqueuedAt = stamp
+		l := ev.link(a.Key)
+		if l.q.n > 0 && !inject && combine != nil {
+			if l.q.n == 1 || l.q.tail.EnqueuedAt != stamp {
+				ev.replay = append(ev.replay, a.Key)
+			}
+			l.q.push(a.P, less)
+			continue
+		}
+		ev.offer(ctx, l, a, t, combine, less)
+	}
+	for _, key := range ev.replay {
+		l := ev.link(key)
+		for p, next := l.q.cut(stamp), (*packet.Packet)(nil); p != nil; p = next {
+			next, p.Next = p.Next, nil
+			ev.offer(ctx, l, Arrival{key, p}, t, combine, nil)
+		}
+	}
+	ev.replay = ev.replay[:0]
+}
+
+// offer is the event loop's insertion step (shard.offer's twin):
+// combine on a non-empty link, else enqueue and wake the link.
+func (ev *eventLoop) offer(ctx *Ctx, l *eventLink, a Arrival, t int64, combine Combiner, less func(a, b *packet.Packet) bool) {
+	if l.q.n > 0 && combine != nil && combine(ctx, &l.q, a) {
 		return
 	}
-	a.P.EnqueuedAt = int32(t)
-	l.q.push(a.P, ev.e.less)
-	if l.q.n > ctx.stats.MaxQueue {
-		ctx.stats.MaxQueue = l.q.n
-	}
+	l.q.push(a.P, less)
+	ctx.stats.MaxQueue = max(ctx.stats.MaxQueue, l.q.n)
 	ev.wake(l, a.Key, t)
 }
 
@@ -593,7 +622,9 @@ func growTo[T any](s []T, node int) []T {
 	if node < len(s) {
 		return s
 	}
-	return append(s, make([]T, max(node+1, 2*len(s))-len(s))...)
+	t := make([]T, max(node+1, 2*len(s)))
+	copy(t, s)
+	return t
 }
 
 // nodeSlow memoizes the per-node straggler draw.

@@ -8,9 +8,9 @@ import (
 
 // Lease keeps a completed engine between runs of the same shape, so a
 // warm sweep cell or daemon job reruns its predecessor's engine — its
-// dense link tables, paged directories and pages, active-key lists and
-// radix gather/sort/emit scratch — instead of re-allocating and
-// re-faulting them. The shape is (resolved state, shard count,
+// dense link tables, paged directories and pages, active-key lists,
+// emit and replay buffers and worker-pool closures — instead of
+// re-allocating and re-faulting them. The shape is (resolved state, shard count,
 // per-shard table size): New with a lease that keeps an engine of its
 // shape takes that engine and re-arms it, otherwise it builds a new
 // one, and a completed Run hands the engine to the lease. One lease
@@ -18,7 +18,7 @@ import (
 //
 // Reuse is bit-invisible by construction. A completed run's drain
 // loop leaves every table slot and page slot an empty Link and the
-// active lists empty, and clearScratch zeroes the scratch buffers;
+// active lists empty, and clearScratch zeroes the emit buffers;
 // arm then resets every per-run field and frees the touched pages, so
 // a kept engine's run — MemStats included — equals a cold engine's.
 // An aborted run never reaches Finish, so dirty state cannot enter a

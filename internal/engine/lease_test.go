@@ -275,7 +275,8 @@ func TestLeaseRearmMatchesColdRun(t *testing.T) {
 // kept engine and reruns it, so the whole run — arming included —
 // allocates nothing on dense and paged tables, at one and at two
 // workers. (The handler records no module loads: a kept engine drops
-// its load slices, so a run that records loads regrows them.)
+// its load slices, so a run that records loads allocates them again;
+// TestLeasedLoadsAllocateOncePerShard bounds that.)
 func TestLeasedRunIsAllocationFree(t *testing.T) {
 	const npkts, length = 64, 512
 	pkts := make([]*packet.Packet, npkts)
@@ -316,6 +317,47 @@ func TestLeasedRunIsAllocationFree(t *testing.T) {
 				t.Fatalf("%s workers=%d: warm leased New+Run allocated %.1f objects, want 0",
 					c.name, workers, allocs)
 			}
+		}
+	}
+}
+
+// TestLeasedLoadsAllocateOncePerShard: a kept engine drops its
+// module-load slices at Finish but remembers their length, so a warm
+// leased New+Run that records a load on each of 512 nodes allocates
+// each shard's slice once, at its old length, instead of regrowing it
+// by doubling from nothing.
+func TestLeasedLoadsAllocateOncePerShard(t *testing.T) {
+	const npkts, length = 64, 512
+	pkts := make([]*packet.Packet, npkts)
+	for i := range pkts {
+		pkts[i] = packet.New(i, 0, 0, packet.Transit)
+	}
+	inject := func(ctx *Ctx) {
+		for i, p := range pkts {
+			p.Delay = 0
+			ctx.Emit(uint64(i%8), p)
+		}
+	}
+	handle := func(ctx *Ctx, a Arrival, round int) {
+		ctx.AddLoad(int(a.Key), 1)
+		if next := a.Key + 1; next < length {
+			ctx.Emit(next, a.P)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		opts := Options{Workers: workers, Seed: 7, MaxKey: length, Lease: &Lease{}}
+		var st Stats
+		run := func() { st = New(opts).Run(inject, handle, nil) }
+		for i := 0; i < 20; i++ {
+			run()
+		}
+		shards := len(opts.Lease.eng.shards)
+		if allocs := testing.AllocsPerRun(10, run); allocs > float64(shards) {
+			t.Fatalf("workers=%d: warm leased New+Run recording loads allocated %.1f objects, want at most %d (one per shard)",
+				workers, allocs, shards)
+		}
+		if st.MaxModuleLoad != npkts {
+			t.Fatalf("workers=%d: MaxModuleLoad %d, want %d", workers, st.MaxModuleLoad, npkts)
 		}
 	}
 }

@@ -13,11 +13,13 @@ import (
 // 16-byte table slot and nothing else, and the zero Link is an empty
 // queue.
 //
-// A nil comparator makes the link a FIFO, the discipline of §2.2.1. A
-// non-nil one keeps the chain sorted, so the head is always the
-// packet that should cross first (the mesh's furthest-destination-
-// first rule, §3.4). Queues stay Õ(1) long, so the sorted insert walks
-// a short chain.
+// A comparator keeps the chain sorted, so the head is always the
+// packet that should cross first: the round loop's FIFO order
+// (fifoLess: the round a packet joined, then its ID, the discipline of
+// §2.2.1) or an Options.Less such as the mesh's furthest-destination-
+// first rule (§3.4). A nil comparator appends at the tail. Queues stay
+// Õ(1) long, so the sorted insert walks a short chain, and an arrival
+// that sorts last, the usual case, appends without walking.
 type Link struct {
 	tail *packet.Packet
 	n    int
@@ -76,4 +78,22 @@ func (l *Link) push(p *packet.Packet, less func(a, b *packet.Packet) bool) {
 		p.Next = prev.Next
 		prev.Next = p
 	}
+}
+
+// cut removes the packets stamped with EnqueuedAt stamp, which must be
+// the chain's non-empty suffix, and returns them in chain order as a
+// nil-terminated list. The older packets stay queued.
+func (l *Link) cut(stamp int32) (fresh *packet.Packet) {
+	head := l.tail.Next
+	l.tail.Next = nil
+	var kept *packet.Packet
+	n := 0
+	for fresh = head; fresh.EnqueuedAt != stamp; fresh = fresh.Next {
+		kept, n = fresh, n+1
+	}
+	if kept != nil {
+		kept.Next = head
+	}
+	l.tail, l.n = kept, n
+	return fresh
 }

@@ -17,12 +17,15 @@
 //     rounds synchronous. Within a phase, handlers may only mutate
 //     their own packet and accumulate into per-shard Stats whose merge
 //     operators (sum, max) are commutative.
-//  2. Queue insertion order is canonical. All arrivals emitted during
-//     a round are sorted by (link key, packet ID) before insertion, so
-//     a link's chain of queued packets (see Link) never depends on
-//     shard layout or map iteration: a FIFO chain holds them in that
-//     order, and an Options.Less chain in Less order, which a strict
-//     total order fixes whatever the insertion order.
+//  2. Queue insertion order is canonical. Each link's chain of queued
+//     packets (see Link) keeps its own order whatever order the
+//     arrivals come in: a FIFO chain puts a round's arrivals behind
+//     its older packets and among themselves by packet ID, and an
+//     Options.Less chain keeps Less order, which a strict total order
+//     fixes. A combiner sees each arrival against the chain that
+//     order gives (the push replays the links where it could merge),
+//     so queue contents never depend on shard layout, emission order
+//     or map iteration.
 //  3. Randomness is keyed to stable entities, never to workers. Each
 //     packet owns a substream split from the run seed by packet ID,
 //     and each shard owns a substream split by shard index.
@@ -36,9 +39,20 @@ import (
 // Pool is a deterministic fork-join helper: Run splits an index range
 // into contiguous chunks, one per worker, so a computation that is
 // independent across indices parallelizes without changing which
-// worker-visible chunk an index belongs to from run to run.
+// worker-visible chunk an index belongs to from run to run. A Pool
+// keeps its per-Run state between calls, so a warm parallel Run
+// allocates nothing; it is not safe for concurrent Runs.
 type Pool struct {
 	workers int
+
+	// The Run in progress and each worker's recovered panic.
+	fn     func(w, lo, hi int)
+	n      int
+	chunk  int
+	panics []any
+	wg     sync.WaitGroup
+	// spawn[w] runs chunk w; built once, so a Run allocates none.
+	spawn []func()
 }
 
 // NewPool returns a pool of the given width; workers <= 0 selects
@@ -56,7 +70,10 @@ func (p *Pool) Workers() int { return p.workers }
 
 // Run executes fn over [0, n) split into at most Workers() contiguous
 // chunks. fn(w, lo, hi) must restrict itself to state owned by indices
-// [lo, hi) plus the w-th slot of any per-worker accumulator. A panic
+// [lo, hi) plus the w-th slot of any per-worker accumulator. Every
+// chunk gets a goroutine while the caller waits: a caller that ran
+// chunk 0 itself would leave chunk 1 queued on its own thread until
+// another thread stole it. A panic
 // inside a worker is re-raised on the caller, lowest worker first.
 func (p *Pool) Run(n int, fn func(w, lo, hi int)) {
 	if n <= 0 {
@@ -66,36 +83,32 @@ func (p *Pool) Run(n int, fn func(w, lo, hi int)) {
 		fn(0, 0, n)
 		return
 	}
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	panics := make([]any, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
+	chunk := (n + p.workers - 1) / p.workers
+	workers := (n + chunk - 1) / chunk
+	p.fn, p.n, p.chunk = fn, n, chunk
+	for len(p.spawn) < workers {
+		w := len(p.spawn)
+		p.spawn = append(p.spawn, func() {
+			defer p.wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					panics[w] = r
+					p.panics[w] = r
 				}
 			}()
-			fn(w, lo, hi)
-		}(w, lo, hi)
+			lo := w * p.chunk
+			p.fn(w, lo, min(lo+p.chunk, p.n))
+		})
+		p.panics = append(p.panics, nil)
 	}
-	wg.Wait()
-	for _, r := range panics {
+	p.wg.Add(workers)
+	for w := range workers {
+		go p.spawn[w]()
+	}
+	p.wg.Wait()
+	p.fn = nil
+	for _, r := range p.panics[:workers] {
 		if r != nil {
+			clear(p.panics)
 			panic(r)
 		}
 	}

@@ -37,23 +37,17 @@ type Stats struct {
 
 // fold merges o into s: sums for counters, max for maxima.
 func (s *Stats) fold(o *Stats) {
-	maxInto(&s.Rounds, o.Rounds)
-	maxInto(&s.RequestRounds, o.RequestRounds)
-	maxInto(&s.MaxQueue, o.MaxQueue)
+	s.Rounds = max(s.Rounds, o.Rounds)
+	s.RequestRounds = max(s.RequestRounds, o.RequestRounds)
+	s.MaxQueue = max(s.MaxQueue, o.MaxQueue)
 	s.TotalDelay += o.TotalDelay
-	maxInto(&s.MaxPacketSteps, o.MaxPacketSteps)
+	s.MaxPacketSteps = max(s.MaxPacketSteps, o.MaxPacketSteps)
 	s.DeliveredRequests += o.DeliveredRequests
 	s.DeliveredReplies += o.DeliveredReplies
 	s.Merges += o.Merges
 	s.Retransmits += o.Retransmits
-	maxInto(&s.MaxModuleLoad, o.MaxModuleLoad)
+	s.MaxModuleLoad = max(s.MaxModuleLoad, o.MaxModuleLoad)
 	for i := range s.Aux {
-		maxInto(&s.Aux[i], o.Aux[i])
-	}
-}
-
-func maxInto(dst *int, v int) {
-	if v > *dst {
-		*dst = v
+		s.Aux[i] = max(s.Aux[i], o.Aux[i])
 	}
 }
