@@ -40,76 +40,75 @@ import (
 	_ "pramemu/internal/topology/families"
 )
 
-// config carries one fully parsed invocation.
+// config carries one fully parsed invocation: the algorithm-mode
+// switches, plus the network, step and trial flags bound straight
+// onto the scenario cell a -step run prices.
 type config struct {
 	alg     string
-	net     string
-	step    string // workload name; non-empty selects single-step mode
-	mode    string // erew | crcw (single-step mode)
-	n, k    int
-	trials  int
-	seed    uint64
 	combine bool
-	workers int
+	cell    scenario.Cell // Work.Name non-empty selects single-step mode
 }
 
 func main() {
-	cfg := config{}
-	flag.StringVar(&cfg.alg, "alg", "prefixsum", "algorithm: prefixsum, sort, listrank, maxcrcw, matmul, broadcast")
-	flag.StringVar(&cfg.net, "net", "star", "network family from the topology registry, or \"ideal\" (algorithm mode only)")
-	flag.StringVar(&cfg.step, "step", "", "price one emulated PRAM step of this workload-registry pattern instead of running -alg")
-	flag.StringVar(&cfg.mode, "mode", "erew", "emulation mode for -step: erew (Thm 2.5) or crcw (Thm 2.6, combining)")
-	flag.IntVar(&cfg.n, "n", 5, "primary network size parameter")
-	flag.IntVar(&cfg.k, "k", 0, "secondary network size parameter (0 = family default)")
-	flag.IntVar(&cfg.trials, "trials", 5, "seeded trials for -step")
-	flag.Uint64Var(&cfg.seed, "seed", 1991, "random seed")
-	flag.BoolVar(&cfg.combine, "combine", false, "enable CRCW combining in the network (algorithm mode)")
-	flag.IntVar(&cfg.workers, "workers", 0, "round-engine workers (0 = GOMAXPROCS, 1 = sequential; identical results either way)")
-	flag.Parse()
-
-	if err := run(os.Stdout, cfg); err != nil {
+	cfg, err := parse(flag.CommandLine, os.Args[1:])
+	if err == nil {
+		err = run(os.Stdout, cfg)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "pramemu: %v\n", err)
 		os.Exit(1)
 	}
 }
 
+// parse registers every flag on fs and parses args into one config.
+func parse(fs *flag.FlagSet, args []string) (config, error) {
+	var cfg config
+	c := &cfg.cell
+	fs.StringVar(&cfg.alg, "alg", "prefixsum", "algorithm: prefixsum, sort, listrank, maxcrcw, matmul, broadcast")
+	fs.StringVar(&c.Topo.Family, "net", "star", "network family from the topology registry, or \"ideal\" (algorithm mode only)")
+	fs.StringVar(&c.Work.Name, "step", "", "price one emulated PRAM step of this workload-registry pattern instead of running -alg")
+	fs.StringVar(&c.Mode, "mode", "erew", "emulation mode for -step: erew (Thm 2.5) or crcw (Thm 2.6, combining)")
+	fs.IntVar(&c.Topo.N, "n", 5, "primary network size parameter")
+	fs.IntVar(&c.Topo.K, "k", 0, "secondary network size parameter (0 = family default)")
+	fs.IntVar(&c.Trials, "trials", 5, "seeded trials for -step")
+	fs.Uint64Var(&c.Seed, "seed", 1991, "random seed")
+	fs.BoolVar(&cfg.combine, "combine", false, "enable CRCW combining in the network (algorithm mode)")
+	fs.IntVar(&c.Workers, "workers", 0, "round-engine workers (0 = GOMAXPROCS, 1 = sequential; identical results either way)")
+	err := fs.Parse(args)
+	return cfg, err
+}
+
 // run executes one invocation, writing the report to w. It is the
 // testable core of the command.
 func run(w io.Writer, cfg config) error {
-	if cfg.step != "" {
-		return runStep(w, cfg)
+	if cfg.cell.Work.Name != "" {
+		return runStep(w, cfg.cell)
 	}
-	return runAlgorithm(w, cfg.alg, cfg.net, cfg.n, cfg.k, cfg.seed, cfg.combine, cfg.workers)
+	return runAlgorithm(w, cfg)
 }
 
-// stepCell maps a -step invocation onto the scenario grid cell the
-// equivalent `routebench -sweep` spec would expand to, preferring the
-// leveled view where one exists (the emulator's preference, matching
-// the algorithm path's buildNetwork).
-func stepCell(cfg config) (scenario.Cell, error) {
-	if cfg.net == "ideal" {
-		return scenario.Cell{}, fmt.Errorf("-step prices a network step; the ideal machine has no network (every step costs 1)")
+// stepCell picks the view of a -step cell: the equivalent `routebench
+// -sweep` spec's cell, preferring the leveled view where one exists
+// (the emulator's preference, matching the algorithm path's
+// buildNetwork).
+func stepCell(c scenario.Cell) (scenario.Cell, error) {
+	if c.Topo.Family == "ideal" {
+		return c, fmt.Errorf("-step prices a network step; the ideal machine has no network (every step costs 1)")
 	}
-	b, err := topology.Build(cfg.net, topology.Params{N: cfg.n, K: cfg.k})
+	b, err := topology.Build(c.Topo.Family, topology.Params{N: c.Topo.N, K: c.Topo.K})
 	if err != nil {
-		return scenario.Cell{}, err
+		return c, err
 	}
-	return scenario.Cell{
-		Topo:    scenario.TopoRef{Family: cfg.net, N: cfg.n, K: cfg.k, Leveled: b.Spec != nil && b.Graph != nil},
-		Work:    scenario.WorkRef{Name: cfg.step},
-		Built:   b,
-		Mode:    cfg.mode,
-		Workers: cfg.workers,
-		Trials:  cfg.trials,
-		Seed:    cfg.seed,
-	}, nil
+	c.Built = b
+	c.Topo.Leveled = b.Spec != nil && b.Graph != nil
+	return c, nil
 }
 
 // runStep prices one synthetic emulated step through scenario.RunCell
 // — pramemu and routebench sweeps share this path, so the two reports
 // agree on every number.
-func runStep(w io.Writer, cfg config) error {
-	cell, err := stepCell(cfg)
+func runStep(w io.Writer, c scenario.Cell) error {
+	cell, err := stepCell(c)
 	if err != nil {
 		return err
 	}
@@ -129,19 +128,20 @@ func runStep(w io.Writer, cfg config) error {
 }
 
 // runAlgorithm executes one algorithm-mode invocation.
-func runAlgorithm(w io.Writer, algName, netName string, n, k int, seed uint64, combine bool, workers int) error {
-	net, err := buildNetwork(netName, n, k)
+func runAlgorithm(w io.Writer, cfg config) error {
+	algName, c := cfg.alg, cfg.cell
+	net, err := buildNetwork(c.Topo.Family, c.Topo.N, c.Topo.K)
 	if err != nil {
 		return err
 	}
 	// The ideal machine has no network to size the processor count, so
 	// -n names it directly there.
-	procs := n
+	procs := c.Topo.N
 	if net != nil {
 		procs = net.Nodes()
 	}
 
-	variant, runAlg, err := buildAlgorithm(algName, &procs, seed)
+	variant, runAlg, err := buildAlgorithm(algName, &procs, c.Seed)
 	if err != nil {
 		return err
 	}
@@ -155,7 +155,7 @@ func runAlgorithm(w io.Writer, algName, netName string, n, k int, seed uint64, c
 	diam := 1
 	var e *emul.Emulator
 	if net != nil {
-		e, err = emul.New(net, emul.Config{Memory: 1 << 24, Seed: seed, Combine: combine, Workers: workers})
+		e, err = emul.New(net, emul.Config{Memory: 1 << 24, Seed: c.Seed, Combine: cfg.combine, Workers: c.Workers})
 		if err != nil {
 			return err
 		}

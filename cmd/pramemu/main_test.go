@@ -1,7 +1,9 @@
 package main
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -10,10 +12,24 @@ import (
 
 // The smoke tests run the command's core in-process on tiny networks
 // and algorithms, asserting the report prints and errors are clean.
+// They drive it through argv, parsed by the flag registration main
+// uses.
+
+// runArgs parses args through the command's flag registration and
+// runs the resulting invocation.
+func runArgs(w io.Writer, args ...string) error {
+	fs := flag.NewFlagSet("pramemu", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	cfg, err := parse(fs, args)
+	if err != nil {
+		return err
+	}
+	return run(w, cfg)
+}
 
 func TestRunPrefixSumOnStar(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, config{alg: "prefixsum", net: "star", n: 4, k: 0, seed: 7, combine: false, workers: 2}); err != nil {
+	if err := runArgs(&b, "-alg", "prefixsum", "-net", "star", "-n", "4", "-seed", "7", "-workers", "2"); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -26,7 +42,7 @@ func TestRunPrefixSumOnStar(t *testing.T) {
 
 func TestRunIdealMachine(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, config{alg: "broadcast", net: "ideal", n: 5, k: 0, seed: 7, combine: false, workers: 1}); err != nil {
+	if err := runArgs(&b, "-alg", "broadcast", "-net", "ideal", "-n", "5", "-seed", "7", "-workers", "1"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "ideal PRAM") {
@@ -36,7 +52,7 @@ func TestRunIdealMachine(t *testing.T) {
 
 func TestRunCombiningOnCRCW(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, config{alg: "maxcrcw", net: "shuffle", n: 3, k: 0, seed: 7, combine: true, workers: 2}); err != nil {
+	if err := runArgs(&b, "-alg", "maxcrcw", "-net", "shuffle", "-n", "3", "-seed", "7", "-combine", "-workers", "2"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "per step") {
@@ -49,16 +65,15 @@ func TestRunCombiningOnCRCW(t *testing.T) {
 // programs with no pramemu-side changes, under a parallel engine.
 func TestRunNewFamilies(t *testing.T) {
 	for _, cfg := range []struct {
-		net  string
-		n, k int
+		net, n, k string
 	}{
-		{"pancake", 4, 0},  // 24 nodes
-		{"ttree", 4, 1},    // 24 nodes, binary tree
-		{"torus", 4, 2},    // 16 nodes
-		{"debruijn", 4, 2}, // 16 nodes
+		{"pancake", "4", "0"},  // 24 nodes
+		{"ttree", "4", "1"},    // 24 nodes, binary tree
+		{"torus", "4", "2"},    // 16 nodes
+		{"debruijn", "4", "2"}, // 16 nodes
 	} {
 		var b strings.Builder
-		if err := run(&b, config{alg: "prefixsum", net: cfg.net, n: cfg.n, k: cfg.k, seed: 7, combine: false, workers: 2}); err != nil {
+		if err := runArgs(&b, "-alg", "prefixsum", "-net", cfg.net, "-n", cfg.n, "-k", cfg.k, "-seed", "7", "-workers", "2"); err != nil {
 			t.Fatalf("%s: %v", cfg.net, err)
 		}
 		if !strings.Contains(b.String(), cfg.net) {
@@ -90,7 +105,7 @@ func TestRunStepMatchesSweepCell(t *testing.T) {
 		}
 		r := results[0]
 		var b strings.Builder
-		if err := run(&b, config{step: "perm", net: "star", n: 4, mode: mode, trials: 2, seed: 9, workers: 1}); err != nil {
+		if err := runArgs(&b, "-step", "perm", "-net", "star", "-n", "4", "-mode", mode, "-trials", "2", "-seed", "9", "-workers", "1"); err != nil {
 			t.Fatal(err)
 		}
 		out := b.String()
@@ -111,11 +126,11 @@ func TestRunStepMatchesSweepCell(t *testing.T) {
 // errors naming the constraint, not as degenerate runs.
 func TestRunStepRejectsBadModes(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, config{step: "khot", net: "star", n: 4, mode: "erew", trials: 1}); err == nil ||
+	if err := runArgs(&b, "-step", "khot", "-net", "star", "-n", "4", "-mode", "erew", "-trials", "1"); err == nil ||
 		!strings.Contains(err.Error(), "crcw") {
 		t.Fatalf("many-one erew step: want a crcw-gating error, got %v", err)
 	}
-	if err := run(&b, config{step: "perm", net: "star", n: 4, mode: "quantum", trials: 1}); err == nil ||
+	if err := runArgs(&b, "-step", "perm", "-net", "star", "-n", "4", "-mode", "quantum", "-trials", "1"); err == nil ||
 		!strings.Contains(err.Error(), "unknown mode") {
 		t.Fatalf("unknown mode: want an unknown-mode error, got %v", err)
 	}
@@ -123,13 +138,13 @@ func TestRunStepRejectsBadModes(t *testing.T) {
 
 func TestRunRejectsUnknowns(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, config{alg: "prefixsum", net: "moebius", n: 4, k: 0, seed: 7, combine: false, workers: 1}); err == nil {
+	if err := runArgs(&b, "-alg", "prefixsum", "-net", "moebius", "-n", "4", "-seed", "7", "-workers", "1"); err == nil {
 		t.Fatal("unknown network accepted")
 	}
-	if err := run(&b, config{alg: "quantum", net: "star", n: 4, k: 0, seed: 7, combine: false, workers: 1}); err == nil {
+	if err := runArgs(&b, "-alg", "quantum", "-net", "star", "-n", "4", "-seed", "7", "-workers", "1"); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
-	if err := run(&b, config{alg: "prefixsum", net: "star", n: 99, k: 0, seed: 7, combine: false, workers: 1}); err == nil {
+	if err := runArgs(&b, "-alg", "prefixsum", "-net", "star", "-n", "99", "-seed", "7", "-workers", "1"); err == nil {
 		t.Fatal("out-of-range star size accepted")
 	}
 }

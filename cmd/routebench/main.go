@@ -116,24 +116,13 @@ import (
 	"pramemu/internal/workload"
 )
 
-// config carries one fully parsed invocation.
+// config carries one fully parsed invocation: the command-level
+// switches, plus the single-run flags bound straight onto the one
+// scenario cell they price.
 type config struct {
-	net        string
-	n          int
-	k          int
-	workload   string
-	alg        string
-	disc       string
-	mode       string
-	locality   int
-	trials     int
-	seed       uint64
-	skipPhase1 bool
-	useLeveled bool
+	cell       scenario.Cell
 	jsonOut    bool
-	workers    int
 	list       bool
-	memBudget  int64
 	memStats   bool
 	sweep      string
 	report     bool
@@ -148,77 +137,76 @@ type config struct {
 	cpuprofile string
 	memprofile string
 
-	// Event-engine knobs (-engine event): the link latency model and
-	// the fault level of the asynchronous run.
-	engine     string
-	latency    string
-	base       int
-	jitter     int
-	lscale     int
-	gap        int
-	linkFail   float64
-	repair     int
-	straggler  float64
-	stragglerX int
-	drop       float64
-	rto        int
-
 	// reportdiff compares two sweep artifacts byte-exactly.
 	reportdiff bool
 	diffArgs   []string
 }
 
 func main() {
-	cfg := config{}
-	flag.StringVar(&cfg.net, "net", "star", "network family from the topology registry (see -list)")
-	flag.IntVar(&cfg.n, "n", 5, "primary size parameter (star/pancake/ttree n, shuffle/debruijn digits, butterfly/hypercube dimension, mesh side, torus radix)")
-	flag.IntVar(&cfg.k, "k", 0, "secondary size parameter where one exists (shuffle/debruijn alphabet, torus dimensions, ttree shape); 0 = family default")
-	flag.StringVar(&cfg.workload, "workload", "perm", "workload generator from the workload registry (see -list)")
-	flag.StringVar(&cfg.alg, "alg", "threestage", "mesh algorithm: threestage, vb, greedy")
-	flag.StringVar(&cfg.disc, "disc", "furthest", "mesh discipline: furthest, fifo")
-	flag.StringVar(&cfg.mode, "mode", "route", "cell mode: route (raw routing), erew or crcw (one emulated PRAM step per trial, Thm 2.5/2.6)")
-	flag.IntVar(&cfg.locality, "d", 8, "locality distance for -workload local")
-	flag.IntVar(&cfg.trials, "trials", 5, "number of seeded trials")
-	flag.Uint64Var(&cfg.seed, "seed", 1991, "base seed")
-	flag.BoolVar(&cfg.skipPhase1, "skipphase1", false, "disable the randomizing phase (ablation)")
-	flag.BoolVar(&cfg.useLeveled, "leveled", false, "route on the leveled unrolling (Algorithm 2.1) when the family has one")
-	flag.BoolVar(&cfg.jsonOut, "json", false, "emit one JSON object instead of the report line (for BENCH_*.json artifacts)")
-	flag.IntVar(&cfg.workers, "workers", 0, "round-engine workers (0 = GOMAXPROCS, 1 = sequential; identical results either way)")
-	flag.BoolVar(&cfg.list, "list", false, "list the registered network families and workload generators, then exit")
-	flag.Int64Var(&cfg.memBudget, "membudget", 0, "cap the engine's fixed link-table footprint in bytes; an over-budget layout steps down flat -> paged -> hashed (0 = no budget; 1 selects hashed; identical results, for A/B profiling)")
-	flag.BoolVar(&cfg.memStats, "memstats", false, "append the memory line (resolved state, table/arena bytes, B/node) to the report")
-	flag.StringVar(&cfg.sweep, "sweep", "", "run the scenario sweep spec from this JSON file ('-' = stdin) and emit JSONL")
-	flag.BoolVar(&cfg.report, "report", false, "with -sweep: append the derived report rows (workers-axis speedups, per-class aggregates) after the result lines")
-	flag.StringVar(&cfg.out, "out", "", "with -sweep: write the artifact crash-safely to this path (journaled; atomic rename after the trailer; an interrupted run resumes)")
-	flag.StringVar(&cfg.advsearch, "advsearch", "", "run the adversarial-search spec from this JSON file ('-' = stdin): hunt worst-case inputs per family; with -out the seed sweep journals to <out>.cells and the report lands at -out via atomic rename (an interrupted search resumes)")
-	flag.StringVar(&cfg.frozen, "frozen", "", "load frozen adversarial workloads (*"+workload.FrozenExt+") from this directory into the registry before running (composes with -list, -workload adv:..., -sweep)")
-	flag.StringVar(&cfg.freeze, "freeze", "", "with -advsearch: write each family's best searched permutation into this directory as a frozen regression workload")
-	flag.Int64Var(&cfg.buildCache, "buildcache", 0, "topology build-cache budget in bytes: cells and successive sweeps sharing a topology reuse one build (0 = default 256 MiB; negative disables caching)")
-	flag.DurationVar(&cfg.timeout, "timeout", 0, "with -sweep: per-cell deadline; an expired cell becomes an error line instead of killing the sweep (0 = none)")
-	flag.BoolVar(&cfg.failFast, "failfast", false, "with -sweep: cancel remaining cells when one fails hard instead of draining the grid")
-	flag.StringVar(&cfg.server, "server", "", "with -sweep: submit the spec to this sweepd base URL (e.g. http://localhost:8080) and stream the artifact back instead of running locally")
-	flag.StringVar(&cfg.cpuprofile, "cpuprofile", "", "write a CPU profile of the routing trials to this file")
-	flag.StringVar(&cfg.memprofile, "memprofile", "", "write a heap profile (taken after the trials) to this file")
-	flag.StringVar(&cfg.engine, "engine", "round", "pricing engine: round (synchronous rounds) or event (asynchronous discrete-event simulation in ticks)")
-	flag.StringVar(&cfg.latency, "latency", "fixed", "event link-latency model: fixed, jitter or matrix")
-	flag.IntVar(&cfg.base, "base", 1, "event base link latency in ticks")
-	flag.IntVar(&cfg.jitter, "jitter", 0, "event uniform extra-latency span (jitter model)")
-	flag.IntVar(&cfg.lscale, "lscale", 0, "event coordinate-grid side of the matrix model (0 = default 8)")
-	flag.IntVar(&cfg.gap, "gap", 1, "event sender-side bandwidth cap: min ticks between transmission starts per link")
-	flag.Float64Var(&cfg.linkFail, "linkfail", 0, "event probability a link starts in a transient outage")
-	flag.IntVar(&cfg.repair, "repair", 0, "event outage-duration bound in ticks (0 = default 8*base)")
-	flag.Float64Var(&cfg.straggler, "straggler", 0, "event per-node slowdown probability")
-	flag.IntVar(&cfg.stragglerX, "stragglerx", 0, "event straggler slowdown multiple (0 = default 4)")
-	flag.Float64Var(&cfg.drop, "drop", 0, "event per-transmission loss probability (< 1; sender retransmits)")
-	flag.IntVar(&cfg.rto, "rto", 0, "event retransmit timeout in ticks (0 = default 4*(base+jitter))")
-	flag.BoolVar(&cfg.reportdiff, "reportdiff", false, "compare the two JSONL artifacts named as arguments byte-exactly; nonzero exit on drift")
-	flag.Parse()
-	cfg.diffArgs = flag.Args()
-
-	if err := run(os.Stdout, cfg); err != nil {
+	cfg, err := parse(flag.CommandLine, os.Args[1:])
+	if err == nil {
+		err = run(os.Stdout, cfg)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "routebench: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// parse registers every flag on fs and parses args into one config.
+// The h-relation height keeps its historical default of max(2, n).
+func parse(fs *flag.FlagSet, args []string) (config, error) {
+	var cfg config
+	c := &cfg.cell
+	fs.StringVar(&c.Topo.Family, "net", "star", "network family from the topology registry (see -list)")
+	fs.IntVar(&c.Topo.N, "n", 5, "primary size parameter (star/pancake/ttree n, shuffle/debruijn digits, butterfly/hypercube dimension, mesh side, torus radix)")
+	fs.IntVar(&c.Topo.K, "k", 0, "secondary size parameter where one exists (shuffle/debruijn alphabet, torus dimensions, ttree shape); 0 = family default")
+	fs.StringVar(&c.Work.Name, "workload", "perm", "workload generator from the workload registry (see -list)")
+	fs.StringVar(&c.Algorithm, "alg", "threestage", "mesh algorithm: threestage, vb, greedy")
+	fs.StringVar(&c.Discipline, "disc", "furthest", "mesh discipline: furthest, fifo")
+	fs.StringVar(&c.Mode, "mode", "route", "cell mode: route (raw routing), erew or crcw (one emulated PRAM step per trial, Thm 2.5/2.6)")
+	fs.IntVar(&c.Work.D, "d", 8, "locality distance for -workload local")
+	fs.IntVar(&c.Trials, "trials", 5, "number of seeded trials")
+	fs.Uint64Var(&c.Seed, "seed", 1991, "base seed")
+	fs.BoolVar(&c.SkipPhase1, "skipphase1", false, "disable the randomizing phase (ablation)")
+	fs.BoolVar(&c.Topo.Leveled, "leveled", false, "route on the leveled unrolling (Algorithm 2.1) when the family has one")
+	fs.BoolVar(&cfg.jsonOut, "json", false, "emit one JSON object instead of the report line (for BENCH_*.json artifacts)")
+	fs.IntVar(&c.Workers, "workers", 0, "round-engine workers (0 = GOMAXPROCS, 1 = sequential; identical results either way)")
+	fs.BoolVar(&cfg.list, "list", false, "list the registered network families and workload generators, then exit")
+	fs.Int64Var(&c.MemBudget, "membudget", 0, "cap the engine's fixed link-table footprint in bytes; an over-budget layout steps down flat -> paged -> hashed (0 = no budget; 1 selects hashed; identical results, for A/B profiling)")
+	fs.BoolVar(&cfg.memStats, "memstats", false, "append the memory line (resolved state, table/arena bytes, B/node) to the report")
+	fs.StringVar(&cfg.sweep, "sweep", "", "run the scenario sweep spec from this JSON file ('-' = stdin) and emit JSONL")
+	fs.BoolVar(&cfg.report, "report", false, "with -sweep: append the derived report rows (workers-axis speedups, per-class aggregates) after the result lines")
+	fs.StringVar(&cfg.out, "out", "", "with -sweep: write the artifact crash-safely to this path (journaled; atomic rename after the trailer; an interrupted run resumes)")
+	fs.StringVar(&cfg.advsearch, "advsearch", "", "run the adversarial-search spec from this JSON file ('-' = stdin): hunt worst-case inputs per family; with -out the seed sweep journals to <out>.cells and the report lands at -out via atomic rename (an interrupted search resumes)")
+	fs.StringVar(&cfg.frozen, "frozen", "", "load frozen adversarial workloads (*"+workload.FrozenExt+") from this directory into the registry before running (composes with -list, -workload adv:..., -sweep)")
+	fs.StringVar(&cfg.freeze, "freeze", "", "with -advsearch: write each family's best searched permutation into this directory as a frozen regression workload")
+	fs.Int64Var(&cfg.buildCache, "buildcache", 0, "topology build-cache budget in bytes: cells and successive sweeps sharing a topology reuse one build (0 = default 256 MiB; negative disables caching)")
+	fs.DurationVar(&cfg.timeout, "timeout", 0, "with -sweep: per-cell deadline; an expired cell becomes an error line instead of killing the sweep (0 = none)")
+	fs.BoolVar(&cfg.failFast, "failfast", false, "with -sweep: cancel remaining cells when one fails hard instead of draining the grid")
+	fs.StringVar(&cfg.server, "server", "", "with -sweep: submit the spec to this sweepd base URL (e.g. http://localhost:8080) and stream the artifact back instead of running locally")
+	fs.StringVar(&cfg.cpuprofile, "cpuprofile", "", "write a CPU profile of the routing trials to this file")
+	fs.StringVar(&cfg.memprofile, "memprofile", "", "write a heap profile (taken after the trials) to this file")
+	fs.StringVar(&c.Engine, "engine", "round", "pricing engine: round (synchronous rounds) or event (asynchronous discrete-event simulation in ticks)")
+	fs.StringVar(&c.Latency.Model, "latency", "fixed", "event link-latency model: fixed, jitter or matrix")
+	fs.IntVar(&c.Latency.Base, "base", 1, "event base link latency in ticks")
+	fs.IntVar(&c.Latency.Jitter, "jitter", 0, "event uniform extra-latency span (jitter model)")
+	fs.IntVar(&c.Latency.Scale, "lscale", 0, "event coordinate-grid side of the matrix model (0 = default 8)")
+	fs.IntVar(&c.Latency.Gap, "gap", 1, "event sender-side bandwidth cap: min ticks between transmission starts per link")
+	fs.Float64Var(&c.Fault.LinkFailure, "linkfail", 0, "event probability a link starts in a transient outage")
+	fs.IntVar(&c.Fault.RepairTime, "repair", 0, "event outage-duration bound in ticks (0 = default 8*base)")
+	fs.Float64Var(&c.Fault.Straggler, "straggler", 0, "event per-node slowdown probability")
+	fs.IntVar(&c.Fault.StragglerFactor, "stragglerx", 0, "event straggler slowdown multiple (0 = default 4)")
+	fs.Float64Var(&c.Fault.Drop, "drop", 0, "event per-transmission loss probability (< 1; sender retransmits)")
+	fs.IntVar(&c.Fault.RetransmitAfter, "rto", 0, "event retransmit timeout in ticks (0 = default 4*(base+jitter))")
+	fs.BoolVar(&cfg.reportdiff, "reportdiff", false, "compare the two JSONL artifacts named as arguments byte-exactly; nonzero exit on drift")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	c.Work.H = max(2, c.Topo.N)
+	c.Timing = true
+	cfg.diffArgs = fs.Args()
+	return cfg, nil
 }
 
 // result is the report schema of one invocation: the scenario
@@ -275,48 +263,11 @@ func run(w io.Writer, cfg config) (err error) {
 	if cfg.sweep != "" {
 		return runSweep(w, cfg)
 	}
-	res, err := scenario.RunCell(cell(cfg))
+	res, err := scenario.RunCell(cfg.cell)
 	if err != nil {
 		return err
 	}
 	return report(w, cfg, res)
-}
-
-// cell maps the single-run flags onto one scenario grid cell. The
-// h-relation height keeps its historical default of max(2, n).
-func cell(cfg config) scenario.Cell {
-	c := scenario.Cell{
-		Topo:       scenario.TopoRef{Family: cfg.net, N: cfg.n, K: cfg.k, Leveled: cfg.useLeveled},
-		Work:       scenario.WorkRef{Name: cfg.workload, H: max(2, cfg.n), D: cfg.locality},
-		Algorithm:  cfg.alg,
-		Discipline: cfg.disc,
-		Mode:       cfg.mode,
-		Workers:    cfg.workers,
-		Trials:     cfg.trials,
-		Seed:       cfg.seed,
-		SkipPhase1: cfg.skipPhase1,
-		MemBudget:  cfg.memBudget,
-		Timing:     true,
-	}
-	if cfg.engine != "" && cfg.engine != scenario.EngineRound {
-		c.Engine = cfg.engine
-		c.Latency = scenario.LatencySpec{
-			Model:  cfg.latency,
-			Base:   cfg.base,
-			Jitter: cfg.jitter,
-			Scale:  cfg.lscale,
-			Gap:    cfg.gap,
-		}
-		c.Fault = scenario.FaultSpec{
-			LinkFailure:     cfg.linkFail,
-			RepairTime:      cfg.repair,
-			Straggler:       cfg.straggler,
-			StragglerFactor: cfg.stragglerX,
-			Drop:            cfg.drop,
-			RetransmitAfter: cfg.rto,
-		}
-	}
-	return c
 }
 
 // runAdvSearch executes an adversarial-search spec: every requested
@@ -472,10 +423,10 @@ func runSweep(w io.Writer, cfg config) error {
 	if cfg.failFast {
 		spec.FailFast = true
 	}
-	if cfg.server != "" {
-		return runSweepClient(w, cfg, spec)
-	}
 	if cfg.report {
+		if cfg.server != "" {
+			return fmt.Errorf("sweep: -server and -report do not compose (the daemon serves result lines only); run the sweep locally instead")
+		}
 		if cfg.out != "" {
 			return fmt.Errorf("sweep: -out and -report do not compose (the journaled artifact holds result lines only); redirect stdout instead")
 		}
@@ -487,6 +438,9 @@ func runSweep(w io.Writer, cfg config) error {
 		// measure co-scheduling noise, not engine scaling.
 		spec.Timing = true
 		spec.Pool = 1
+	}
+	if cfg.server != "" {
+		return runSweepClient(w, cfg, spec)
 	}
 	hash, err := scenario.SpecHash(spec)
 	if err != nil {
@@ -585,22 +539,10 @@ func runSweepClient(w io.Writer, cfg config, spec scenario.Spec) error {
 		_, err := io.Copy(w, resp.Body)
 		return err
 	}
-	tmp := cfg.out + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("sweep: %w", err)
-	}
-	if _, err := io.Copy(f, resp.Body); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("sweep: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("sweep: %w", err)
-	}
-	if err := os.Rename(tmp, cfg.out); err != nil {
-		os.Remove(tmp)
+	if err := scenario.WriteFileAtomic(cfg.out, func(f io.Writer) error {
+		_, err := io.Copy(f, resp.Body)
+		return err
+	}); err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}
 	return nil

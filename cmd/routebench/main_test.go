@@ -2,12 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,13 +20,234 @@ import (
 )
 
 // The smoke tests run each main path in-process on a tiny
-// configuration and assert the report line comes out clean.
+// configuration and assert the report line comes out clean. Every
+// test drives the command through argv, parsed by the same flag
+// registration main uses, so flag defaults and bindings are under
+// test too.
+
+// runArgs parses args through the command's flag registration and
+// runs the resulting invocation.
+func runArgs(w io.Writer, args ...string) error {
+	cfg, err := parseArgs(args...)
+	if err != nil {
+		return err
+	}
+	return run(w, cfg)
+}
+
+// parseArgs parses args on a fresh flag set that reports errors
+// instead of exiting.
+func parseArgs(args ...string) (config, error) {
+	fs := flag.NewFlagSet("routebench", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return parse(fs, args)
+}
+
+// TestSingleRunMatchesSweepCell pins the single-run flag bindings: a
+// route, mesh, erew and event single run each report the same metrics
+// as the matching one-cell -sweep line.
+func TestSingleRunMatchesSweepCell(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		spec string // topologies, workloads and the axes of one cell
+	}{
+		{"route", []string{"-net", "star", "-n", "4", "-workload", "relation"},
+			`"topologies":[{"family":"star","n":4}],"workloads":[{"name":"relation","h":4,"d":8}]`},
+		{"mesh", []string{"-net", "mesh", "-n", "8", "-alg", "greedy", "-disc", "fifo"},
+			`"topologies":[{"family":"mesh","n":8}],"workloads":[{"name":"perm","h":8,"d":8}],"algorithm":"greedy","disciplines":["fifo"]`},
+		{"local", []string{"-net", "torus", "-n", "4", "-k", "3", "-workload", "local", "-d", "2"},
+			`"topologies":[{"family":"torus","n":4,"k":3}],"workloads":[{"name":"local","h":4,"d":2}]`},
+		{"erew", []string{"-net", "shuffle", "-n", "3", "-mode", "erew"},
+			`"topologies":[{"family":"shuffle","n":3}],"workloads":[{"name":"perm","h":3,"d":8}],"modes":["erew"]`},
+		{"event", []string{"-net", "torus", "-n", "4", "-k", "3", "-engine", "event", "-latency", "jitter", "-jitter", "2",
+			"-linkfail", "0.1", "-repair", "3", "-straggler", "0.2", "-stragglerx", "3", "-drop", "0.1", "-rto", "5"},
+			`"topologies":[{"family":"torus","n":4,"k":3}],"workloads":[{"name":"perm","h":4,"d":8}],"engines":["event"],` +
+				`"latency":{"model":"jitter","base":1,"jitter":2,"gap":1},` +
+				`"faults":[{"link_failure":0.1,"repair_time":3,"straggler":0.2,"straggler_factor":3,"drop":0.1,"retransmit_after":5}]`},
+	} {
+		var single strings.Builder
+		if err := runArgs(&single, append(tc.args, "-trials", "2", "-seed", "7", "-workers", "1", "-json")...); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got result
+		if err := json.Unmarshal([]byte(single.String()), &got); err != nil {
+			t.Fatalf("%s: %v\n%s", tc.name, err, single.String())
+		}
+		path := filepath.Join(t.TempDir(), "cell.json")
+		spec := `{` + tc.spec + `,"workers":[1],"trials":2,"seed":7}`
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var sweep strings.Builder
+		if err := runArgs(&sweep, "-sweep", path); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		lines := strings.Split(strings.TrimSpace(sweep.String()), "\n")
+		if len(lines) != 2 {
+			t.Fatalf("%s: spec expanded to %d lines, want one cell and the trailer:\n%s", tc.name, len(lines), sweep.String())
+		}
+		var want result
+		if err := json.Unmarshal([]byte(lines[0]), &want); err != nil {
+			t.Fatalf("%s: %v\n%s", tc.name, err, lines[0])
+		}
+		// Single runs are timed and carry no scenario key; the sweep
+		// line is untimed and keyed. Everything else must agree.
+		got.ElapsedMS, got.RoundsPerSec = 0, 0
+		want.Scenario = ""
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: single run and sweep cell differ:\n%+v\n%+v", tc.name, got, want)
+		}
+	}
+}
+
+// TestParseDefaults pins the flag defaults: a bare invocation prices
+// star 5 permutations on the round engine, 5 trials at seed 1991, with
+// the h-relation height max(2, n) and wall-clock timing on.
+func TestParseDefaults(t *testing.T) {
+	cfg, err := parseArgs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := scenario.Cell{
+		Topo:       scenario.TopoRef{Family: "star", N: 5},
+		Work:       scenario.WorkRef{Name: "perm", H: 5, D: 8},
+		Algorithm:  "threestage",
+		Discipline: "furthest",
+		Mode:       scenario.ModeRoute,
+		Engine:     scenario.EngineRound,
+		Latency:    scenario.LatencySpec{Model: "fixed", Base: 1, Gap: 1},
+		Trials:     5,
+		Seed:       1991,
+		Timing:     true,
+	}
+	if !reflect.DeepEqual(cfg.cell, want) {
+		t.Fatalf("default cell:\n%+v\nwant\n%+v", cfg.cell, want)
+	}
+	if cfg.jsonOut || cfg.list || cfg.sweep != "" || cfg.reportdiff || len(cfg.diffArgs) != 0 {
+		t.Fatalf("bare invocation set a command switch: %+v", cfg)
+	}
+	// -n moves the h-relation height with it.
+	if cfg, err = parseArgs("-n", "1"); err != nil || cfg.cell.Work.H != 2 {
+		t.Fatalf("-n 1: h = %d (%v), want 2", cfg.cell.Work.H, err)
+	}
+	if cfg, err = parseArgs("-n", "7"); err != nil || cfg.cell.Work.H != 7 {
+		t.Fatalf("-n 7: h = %d (%v), want 7", cfg.cell.Work.H, err)
+	}
+}
+
+// docExamples returns the argv of every routebench invocation in
+// README.md and in this command's doc comment, cut at the first shell
+// redirection. A lone flag in prose (`routebench -sweep`) names the
+// flag rather than invoking it, so it is skipped.
+func docExamples(t *testing.T) [][]string {
+	t.Helper()
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	var examples [][]string
+	for _, line := range strings.Split(string(readme)+"\n"+doc, "\n") {
+		for _, rest := range strings.Split(line, "routebench ")[1:] {
+			rest, _, _ = strings.Cut(rest, "`")
+			var args []string
+			for _, f := range strings.Fields(rest) {
+				if f == "<" || f == ">" || f == "|" {
+					break
+				}
+				args = append(args, f)
+			}
+			if len(args) > 1 && strings.HasPrefix(args[0], "-") {
+				examples = append(examples, args)
+			}
+		}
+	}
+	return examples
+}
+
+// TestDocExamplesParse parses every documented routebench invocation
+// through the real flag set (parse only): a renamed or removed flag
+// fails here before a reader trips on it.
+func TestDocExamplesParse(t *testing.T) {
+	examples := docExamples(t)
+	if len(examples) < 30 {
+		t.Fatalf("found only %d documented invocations; the extraction broke", len(examples))
+	}
+	for _, args := range examples {
+		if _, err := parseArgs(args...); err != nil {
+			t.Errorf("routebench %s: %v", strings.Join(args, " "), err)
+		}
+	}
+	if _, err := parseArgs("-net", "star", "-bogus"); err == nil {
+		t.Fatal("an undefined flag parsed")
+	}
+}
+
+// TestRunSweepServerClient drives -sweep -server against an
+// in-process sweepd: the streamed artifact matches a local run, -out
+// publishes it atomically, and -report is refused before anything is
+// submitted (the daemon serves result lines only).
+func TestRunSweepServerClient(t *testing.T) {
+	srv, err := sweepd.New(sweepd.Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var submits atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			submits.Add(1)
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sweep.json")
+	const spec = `{"name":"client","topologies":[{"family":"star","n":4}],"workloads":[{"name":"perm"}],"trials":1,"seed":7}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var local, remote strings.Builder
+	if err := runArgs(&local, "-sweep", path); err != nil {
+		t.Fatal(err)
+	}
+	if err := runArgs(&remote, "-sweep", path, "-server", ts.URL); err != nil {
+		t.Fatal(err)
+	}
+	if remote.String() != local.String() {
+		t.Fatalf("served artifact differs from a local run:\n%s\nvs\n%s", remote.String(), local.String())
+	}
+	out := filepath.Join(dir, "artifact.jsonl")
+	if err := runArgs(io.Discard, "-sweep", path, "-server", ts.URL, "-out", out); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(out); err != nil || string(data) != local.String() {
+		t.Fatalf("-server -out artifact: %v\n%s", err, data)
+	}
+	if _, err := os.Stat(out + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("-server -out left its temporary file: %v", err)
+	}
+	before := submits.Load()
+	if err := runArgs(io.Discard, "-sweep", path, "-server", ts.URL, "-report"); err == nil ||
+		!strings.Contains(err.Error(), "-report") {
+		t.Fatalf("-server -report: want a refusal naming -report, got %v", err)
+	}
+	if submits.Load() != before {
+		t.Fatal("-server -report submitted the spec before refusing")
+	}
+}
 
 func TestRunPointToPointSmoke(t *testing.T) {
 	for _, net := range []string{"star", "shuffle", "butterfly", "hypercube", "pancake", "ttree", "debruijn"} {
 		var b strings.Builder
-		cfg := config{net: net, n: 3, workload: "perm", trials: 1, seed: 7, workers: 2}
-		if err := run(&b, cfg); err != nil {
+		args := []string{"-net", net, "-n", "3", "-workload", "perm", "-trials", "1", "-seed", "7", "-workers", "2"}
+		if err := runArgs(&b, args...); err != nil {
 			t.Fatalf("%s: %v", net, err)
 		}
 		if !strings.Contains(b.String(), "rounds mean=") {
@@ -33,8 +258,8 @@ func TestRunPointToPointSmoke(t *testing.T) {
 
 func TestRunTorusSmoke(t *testing.T) {
 	var b strings.Builder
-	cfg := config{net: "torus", n: 4, k: 3, workload: "perm", trials: 1, seed: 7, workers: 2}
-	if err := run(&b, cfg); err != nil {
+	args := []string{"-net", "torus", "-n", "4", "-k", "3", "-workload", "perm", "-trials", "1", "-seed", "7", "-workers", "2"}
+	if err := runArgs(&b, args...); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "torus(k=4,n=3)") {
@@ -46,8 +271,8 @@ func TestRunLeveledViewSmoke(t *testing.T) {
 	// -leveled routes on the unrolling when the family has one
 	// (Algorithm 2.1 on the de Bruijn graph here).
 	var b strings.Builder
-	cfg := config{net: "debruijn", n: 4, k: 2, workload: "perm", trials: 1, seed: 7, useLeveled: true}
-	if err := run(&b, cfg); err != nil {
+	args := []string{"-net", "debruijn", "-n", "4", "-k", "2", "-workload", "perm", "-trials", "1", "-seed", "7", "-leveled"}
+	if err := runArgs(&b, args...); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "debruijn-leveled") {
@@ -55,10 +280,10 @@ func TestRunLeveledViewSmoke(t *testing.T) {
 	}
 	// ...and errors cleanly when it has none — including on the mesh,
 	// which dispatches to its specialized router.
-	if err := run(&b, config{net: "torus", n: 4, workload: "perm", trials: 1, useLeveled: true}); err == nil {
+	if err := runArgs(&b, "-net", "torus", "-n", "4", "-workload", "perm", "-trials", "1", "-leveled"); err == nil {
 		t.Fatal("leveled view of the torus accepted")
 	}
-	if err := run(&b, config{net: "mesh", n: 8, workload: "perm", alg: "threestage", trials: 1, useLeveled: true}); err == nil {
+	if err := runArgs(&b, "-net", "mesh", "-n", "8", "-workload", "perm", "-alg", "threestage", "-trials", "1", "-leveled"); err == nil {
 		t.Fatal("leveled view of the mesh accepted")
 	}
 }
@@ -71,14 +296,14 @@ func TestRunRejectsOversizedGraphsBeforeAllocating(t *testing.T) {
 	// graphs, which the old 24-bit packed keys refused, now route on
 	// the paged tables — the debruijn package's huge-construction test
 	// covers that cheaply.)
-	for _, cfg := range []config{
-		{net: "debruijn", n: 32, k: 2, workload: "perm", trials: 1},
-		{net: "debruijn", n: 32, k: 2, workload: "perm", trials: 1, useLeveled: true},
+	for _, args := range [][]string{
+		{"-net", "debruijn", "-n", "32", "-k", "2", "-workload", "perm", "-trials", "1"},
+		{"-net", "debruijn", "-n", "32", "-k", "2", "-workload", "perm", "-trials", "1", "-leveled"},
 	} {
 		var b strings.Builder
-		err := run(&b, cfg)
+		err := runArgs(&b, args...)
 		if err == nil {
-			t.Fatalf("%+v accepted", cfg)
+			t.Fatalf("%q accepted", args)
 		}
 		if !strings.Contains(err.Error(), "bound") {
 			t.Fatalf("unexpected error: %v", err)
@@ -88,8 +313,8 @@ func TestRunRejectsOversizedGraphsBeforeAllocating(t *testing.T) {
 
 func TestRunMeshSmoke(t *testing.T) {
 	var b strings.Builder
-	cfg := config{net: "mesh", n: 8, workload: "perm", alg: "threestage", trials: 1, seed: 7}
-	if err := run(&b, cfg); err != nil {
+	args := []string{"-net", "mesh", "-n", "8", "-workload", "perm", "-alg", "threestage", "-trials", "1", "-seed", "7"}
+	if err := runArgs(&b, args...); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "mesh(8x8)") {
@@ -99,23 +324,23 @@ func TestRunMeshSmoke(t *testing.T) {
 
 func TestRunTransposeOnTorus(t *testing.T) {
 	var b strings.Builder
-	cfg := config{net: "torus", n: 8, k: 2, workload: "transpose", trials: 1, seed: 7}
-	if err := run(&b, cfg); err != nil {
+	args := []string{"-net", "torus", "-n", "8", "-k", "2", "-workload", "transpose", "-trials", "1", "-seed", "7"}
+	if err := runArgs(&b, args...); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "transpose") {
 		t.Fatalf("unexpected report %q", b.String())
 	}
 	// Non-square node counts (5^3 = 125) reject the workload cleanly.
-	if err := run(&b, config{net: "torus", n: 5, k: 3, workload: "transpose", trials: 1}); err == nil {
+	if err := runArgs(&b, "-net", "torus", "-n", "5", "-k", "3", "-workload", "transpose", "-trials", "1"); err == nil {
 		t.Fatal("transpose accepted on a non-square torus")
 	}
 }
 
 func TestRunJSONOutput(t *testing.T) {
 	var b strings.Builder
-	cfg := config{net: "star", n: 4, workload: "perm", trials: 2, seed: 7, jsonOut: true, workers: 2}
-	if err := run(&b, cfg); err != nil {
+	args := []string{"-net", "star", "-n", "4", "-workload", "perm", "-trials", "2", "-seed", "7", "-json", "-workers", "2"}
+	if err := runArgs(&b, args...); err != nil {
 		t.Fatal(err)
 	}
 	var res result
@@ -135,8 +360,8 @@ func TestRunJSONOutput(t *testing.T) {
 
 func TestRunJSONOnMesh(t *testing.T) {
 	var b strings.Builder
-	cfg := config{net: "mesh", n: 8, workload: "perm", alg: "threestage", trials: 1, seed: 7, jsonOut: true}
-	if err := run(&b, cfg); err != nil {
+	args := []string{"-net", "mesh", "-n", "8", "-workload", "perm", "-alg", "threestage", "-trials", "1", "-seed", "7", "-json"}
+	if err := runArgs(&b, args...); err != nil {
 		t.Fatal(err)
 	}
 	var res result
@@ -150,7 +375,7 @@ func TestRunJSONOnMesh(t *testing.T) {
 
 func TestRunListsFamiliesAndWorkloads(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, config{list: true}); err != nil {
+	if err := runArgs(&b, "-list"); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"star", "pancake", "ttree", "torus", "debruijn", "mesh", "butterfly"} {
@@ -177,20 +402,20 @@ func TestRunListsFamiliesAndWorkloads(t *testing.T) {
 func TestRunRejectsIncompatiblePairs(t *testing.T) {
 	var b strings.Builder
 	for _, tc := range []struct {
-		cfg  config
+		args []string
 		want string
 	}{
-		{config{net: "star", n: 4, workload: "tornado", trials: 1}, "coordinates"},
-		{config{net: "star", n: 4, workload: "bitrev", trials: 1}, "power-of-two"},
-		{config{net: "torus", n: 5, k: 3, workload: "transpose", trials: 1}, "square"},
-		{config{net: "butterfly", n: 3, workload: "local", trials: 1}, "graph"},
+		{[]string{"-net", "star", "-n", "4", "-workload", "tornado", "-trials", "1"}, "coordinates"},
+		{[]string{"-net", "star", "-n", "4", "-workload", "bitrev", "-trials", "1"}, "power-of-two"},
+		{[]string{"-net", "torus", "-n", "5", "-k", "3", "-workload", "transpose", "-trials", "1"}, "square"},
+		{[]string{"-net", "butterfly", "-n", "3", "-workload", "local", "-trials", "1"}, "graph"},
 	} {
-		err := run(&b, tc.cfg)
+		err := runArgs(&b, tc.args...)
 		if err == nil {
-			t.Fatalf("%+v accepted", tc.cfg)
+			t.Fatalf("%q accepted", tc.args)
 		}
 		if !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%+v: error %q does not name the missing capability %q", tc.cfg, err, tc.want)
+			t.Fatalf("%q: error %q does not name the missing capability %q", tc.args, err, tc.want)
 		}
 	}
 }
@@ -198,20 +423,20 @@ func TestRunRejectsIncompatiblePairs(t *testing.T) {
 // TestRunNewGeneratorsSmoke routes each newly registered generator on
 // a compatible family through the single-run path.
 func TestRunNewGeneratorsSmoke(t *testing.T) {
-	for _, tc := range []config{
-		{net: "torus", n: 4, k: 2, workload: "tornado", trials: 1, seed: 7},
-		{net: "hypercube", n: 4, workload: "bitcomp", trials: 1, seed: 7},
-		{net: "star", n: 4, workload: "shift", trials: 1, seed: 7},
-		{net: "star", n: 4, workload: "khot", trials: 1, seed: 7, workers: 2},
-		{net: "debruijn", n: 3, k: 2, workload: "local", locality: 2, trials: 1, seed: 7},
-		{net: "mesh", n: 8, workload: "khot", trials: 1, seed: 7},
+	for _, args := range [][]string{
+		{"-net", "torus", "-n", "4", "-k", "2", "-workload", "tornado", "-trials", "1", "-seed", "7"},
+		{"-net", "hypercube", "-n", "4", "-workload", "bitcomp", "-trials", "1", "-seed", "7"},
+		{"-net", "star", "-n", "4", "-workload", "shift", "-trials", "1", "-seed", "7"},
+		{"-net", "star", "-n", "4", "-workload", "khot", "-trials", "1", "-seed", "7", "-workers", "2"},
+		{"-net", "debruijn", "-n", "3", "-k", "2", "-workload", "local", "-d", "2", "-trials", "1", "-seed", "7"},
+		{"-net", "mesh", "-n", "8", "-workload", "khot", "-trials", "1", "-seed", "7"},
 	} {
 		var b strings.Builder
-		if err := run(&b, tc); err != nil {
-			t.Fatalf("%+v: %v", tc, err)
+		if err := runArgs(&b, args...); err != nil {
+			t.Fatalf("%q: %v", args, err)
 		}
 		if !strings.Contains(b.String(), "rounds mean=") {
-			t.Fatalf("%+v: unexpected report %q", tc, b.String())
+			t.Fatalf("%q: unexpected report %q", args, b.String())
 		}
 	}
 }
@@ -239,7 +464,7 @@ func TestRunSweep(t *testing.T) {
 	}
 	out := func() string {
 		var b strings.Builder
-		if err := run(&b, config{sweep: path}); err != nil {
+		if err := runArgs(&b, "-sweep", path); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -278,7 +503,7 @@ func TestRunSweep(t *testing.T) {
 	}
 	// A missing spec file errors cleanly.
 	var b strings.Builder
-	if err := run(&b, config{sweep: filepath.Join(t.TempDir(), "absent.json")}); err == nil {
+	if err := runArgs(&b, "-sweep", filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Fatal("missing sweep spec accepted")
 	}
 
@@ -287,7 +512,7 @@ func TestRunSweep(t *testing.T) {
 	// .tmp or .journal intermediate survives the atomic finalize.
 	outPath := filepath.Join(t.TempDir(), "artifact.jsonl")
 	b.Reset()
-	if err := run(&b, config{sweep: path, out: outPath}); err != nil {
+	if err := runArgs(&b, "-sweep", path, "-out", outPath); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(outPath)
@@ -303,7 +528,7 @@ func TestRunSweep(t *testing.T) {
 		}
 	}
 	// -out and -report do not compose.
-	if err := run(&b, config{sweep: path, out: outPath, report: true}); err == nil {
+	if err := runArgs(&b, "-sweep", path, "-out", outPath, "-report"); err == nil {
 		t.Fatal("-out -report accepted")
 	}
 }
@@ -313,14 +538,14 @@ func TestRunSweep(t *testing.T) {
 // and mode/workload mismatches error with the constraint named.
 func TestRunEmulationMode(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, config{net: "star", n: 4, workload: "perm", mode: "erew", trials: 2, seed: 7}); err != nil {
+	if err := runArgs(&b, "-net", "star", "-n", "4", "-workload", "perm", "-mode", "erew", "-trials", "2", "-seed", "7"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "mode=erew: step cost mean=") {
 		t.Fatalf("unexpected emulation report %q", b.String())
 	}
 	b.Reset()
-	if err := run(&b, config{net: "star", n: 4, workload: "khot", mode: "crcw", trials: 2, seed: 7, jsonOut: true}); err != nil {
+	if err := runArgs(&b, "-net", "star", "-n", "4", "-workload", "khot", "-mode", "crcw", "-trials", "2", "-seed", "7", "-json"); err != nil {
 		t.Fatal(err)
 	}
 	var res result
@@ -330,15 +555,15 @@ func TestRunEmulationMode(t *testing.T) {
 	if res.Mode != "crcw" || res.RoundsMean <= 0 || res.MaxModuleLoad <= 0 {
 		t.Fatalf("unexpected emulation fields: %+v", res)
 	}
-	if err := run(&b, config{net: "star", n: 4, workload: "khot", mode: "erew", trials: 1}); err == nil ||
+	if err := runArgs(&b, "-net", "star", "-n", "4", "-workload", "khot", "-mode", "erew", "-trials", "1"); err == nil ||
 		!strings.Contains(err.Error(), "crcw") {
 		t.Fatalf("many-one erew run: want a crcw-gating error, got %v", err)
 	}
-	if err := run(&b, config{net: "star", n: 4, workload: "relation", mode: "crcw", trials: 1}); err == nil ||
+	if err := runArgs(&b, "-net", "star", "-n", "4", "-workload", "relation", "-mode", "crcw", "-trials", "1"); err == nil ||
 		!strings.Contains(err.Error(), "single-step") {
 		t.Fatalf("relation crcw run: want a single-step error, got %v", err)
 	}
-	if err := run(&b, config{net: "star", n: 4, workload: "perm", mode: "quantum", trials: 1}); err == nil {
+	if err := runArgs(&b, "-net", "star", "-n", "4", "-workload", "perm", "-mode", "quantum", "-trials", "1"); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
@@ -349,7 +574,7 @@ func TestRunEmulationMode(t *testing.T) {
 func TestRunSweepEmulSpec(t *testing.T) {
 	out := func() string {
 		var b strings.Builder
-		if err := run(&b, config{sweep: filepath.Join("..", "..", "sweeps", "emul.json")}); err != nil {
+		if err := runArgs(&b, "-sweep", filepath.Join("..", "..", "sweeps", "emul.json")); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -392,7 +617,7 @@ func TestRunSweepReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := run(&b, config{sweep: path, report: true}); err != nil {
+	if err := runArgs(&b, "-sweep", path, "-report"); err != nil {
 		t.Fatal(err)
 	}
 	results, speedups, classes := 0, 0, 0
@@ -433,20 +658,15 @@ func TestRunSweepReport(t *testing.T) {
 // carries the engine/fault fields, and bad knobs error cleanly.
 func TestRunEventEngine(t *testing.T) {
 	var b strings.Builder
-	cfg := config{
-		net: "star", n: 4, workload: "perm", trials: 2, seed: 7,
-		engine: "event", latency: "jitter", base: 1, jitter: 2, gap: 1,
-		drop: 0.2, rto: 4,
-	}
-	if err := run(&b, cfg); err != nil {
+	args := []string{"-net", "star", "-n", "4", "-workload", "perm", "-trials", "2", "-seed", "7", "-engine", "event", "-latency", "jitter", "-base", "1", "-jitter", "2", "-gap", "1", "-drop", "0.2", "-rto", "4"}
+	if err := runArgs(&b, args...); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "engine=event") || !strings.Contains(b.String(), "retransmits=") {
 		t.Fatalf("unexpected event report %q", b.String())
 	}
 	b.Reset()
-	cfg.jsonOut = true
-	if err := run(&b, cfg); err != nil {
+	if err := runArgs(&b, append(args, "-json")...); err != nil {
 		t.Fatal(err)
 	}
 	var res result
@@ -457,21 +677,15 @@ func TestRunEventEngine(t *testing.T) {
 		t.Fatalf("unexpected event fields: %+v", res)
 	}
 	// Unknown engines and invalid fault knobs error with the knob named.
-	if err := run(&b, config{net: "star", n: 4, workload: "perm", trials: 1, engine: "quantum"}); err == nil {
+	if err := runArgs(&b, "-net", "star", "-n", "4", "-workload", "perm", "-trials", "1", "-engine", "quantum"); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
-	if err := run(&b, config{
-		net: "star", n: 4, workload: "perm", trials: 1,
-		engine: "event", latency: "fixed", base: 1, gap: 1, drop: 1,
-	}); err == nil || !strings.Contains(err.Error(), "drop") {
+	if err := runArgs(&b, "-net", "star", "-n", "4", "-workload", "perm", "-trials", "1", "-engine", "event", "-latency", "fixed", "-base", "1", "-gap", "1", "-drop", "1"); err == nil || !strings.Contains(err.Error(), "drop") {
 		t.Fatalf("drop=1 run: want a drop-probability error, got %v", err)
 	}
 	// The event engine prices raw routing only; combining it with a
 	// PRAM emulation mode is rejected, not silently ignored.
-	if err := run(&b, config{
-		net: "star", n: 4, workload: "perm", trials: 1, mode: "erew",
-		engine: "event", latency: "fixed", base: 1, gap: 1,
-	}); err == nil || !strings.Contains(err.Error(), "synchronous rounds") {
+	if err := runArgs(&b, "-net", "star", "-n", "4", "-workload", "perm", "-trials", "1", "-mode", "erew", "-engine", "event", "-latency", "fixed", "-base", "1", "-gap", "1"); err == nil || !strings.Contains(err.Error(), "synchronous rounds") {
 		t.Fatalf("event+erew run: want the engine/mode conflict error, got %v", err)
 	}
 }
@@ -498,27 +712,27 @@ func TestRunReportDiff(t *testing.T) {
 		}
 	}
 	var out strings.Builder
-	if err := run(&out, config{reportdiff: true, diffArgs: []string{a, b}}); err != nil {
+	if err := runArgs(&out, "-reportdiff", a, b); err != nil {
 		t.Fatalf("identical artifacts flagged: %v", err)
 	}
 	if !strings.Contains(out.String(), "identical") {
 		t.Fatalf("unexpected reportdiff output %q", out.String())
 	}
-	err := run(&out, config{reportdiff: true, diffArgs: []string{a, c}})
+	err := runArgs(&out, "-reportdiff", a, c)
 	if err == nil {
 		t.Fatal("drifting artifacts accepted")
 	}
 	if !strings.Contains(err.Error(), "line 1") {
 		t.Fatalf("drift error does not locate the line: %v", err)
 	}
-	if err := run(&out, config{reportdiff: true, diffArgs: []string{a, truncated}}); err == nil ||
+	if err := runArgs(&out, "-reportdiff", a, truncated); err == nil ||
 		!strings.Contains(err.Error(), "trailer") {
 		t.Fatalf("trailer-less artifact: want a loud truncation error, got %v", err)
 	}
-	if err := run(&out, config{reportdiff: true, diffArgs: []string{a}}); err == nil {
+	if err := runArgs(&out, "-reportdiff", a); err == nil {
 		t.Fatal("single-artifact reportdiff accepted")
 	}
-	if err := run(&out, config{reportdiff: true, diffArgs: []string{a, filepath.Join(dir, "absent.jsonl")}}); err == nil {
+	if err := runArgs(&out, "-reportdiff", a, filepath.Join(dir, "absent.jsonl")); err == nil {
 		t.Fatal("missing artifact accepted")
 	}
 }
@@ -542,7 +756,7 @@ func TestRunSweepReportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := run(&b, config{sweep: path, report: true}); err != nil {
+	if err := runArgs(&b, "-sweep", path, "-report"); err != nil {
 		t.Fatal(err)
 	}
 	artifact := b.String()
@@ -607,7 +821,7 @@ func TestRunSweepsMatchExpectedArtifacts(t *testing.T) {
 	for _, name := range []string{"smoke", "emul", "event", "dispatch"} {
 		var b strings.Builder
 		spec := filepath.Join("..", "..", "sweeps", name+".json")
-		if err := run(&b, config{sweep: spec}); err != nil {
+		if err := runArgs(&b, "-sweep", spec); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		expected := filepath.Join("..", "..", "sweeps", "expected", name+".jsonl")
@@ -623,16 +837,16 @@ func TestRunSweepsMatchExpectedArtifacts(t *testing.T) {
 
 func TestRunRejectsUnknowns(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, config{net: "moebius"}); err == nil {
+	if err := runArgs(&b, "-net", "moebius"); err == nil {
 		t.Fatal("unknown network accepted")
 	}
-	if err := run(&b, config{net: "mesh", n: 8, alg: "magic"}); err == nil {
+	if err := runArgs(&b, "-net", "mesh", "-n", "8", "-alg", "magic"); err == nil {
 		t.Fatal("unknown mesh algorithm accepted")
 	}
-	if err := run(&b, config{net: "star", n: 3, workload: "nope", trials: 1, alg: "threestage"}); err == nil {
+	if err := runArgs(&b, "-net", "star", "-n", "3", "-workload", "nope", "-trials", "1", "-alg", "threestage"); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
-	if err := run(&b, config{net: "ttree", n: 5, k: 9, workload: "perm", trials: 1}); err == nil {
+	if err := runArgs(&b, "-net", "ttree", "-n", "5", "-k", "9", "-workload", "perm", "-trials", "1"); err == nil {
 		t.Fatal("unknown ttree shape accepted")
 	}
 }
@@ -645,11 +859,8 @@ func TestRunWritesProfiles(t *testing.T) {
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
 	var b strings.Builder
-	cfg := config{
-		net: "star", n: 4, workload: "perm", trials: 2, seed: 7,
-		cpuprofile: cpu, memprofile: mem,
-	}
-	if err := run(&b, cfg); err != nil {
+	args := []string{"-net", "star", "-n", "4", "-workload", "perm", "-trials", "2", "-seed", "7", "-cpuprofile", cpu, "-memprofile", mem}
+	if err := runArgs(&b, args...); err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range []string{cpu, mem} {
@@ -662,10 +873,7 @@ func TestRunWritesProfiles(t *testing.T) {
 		}
 	}
 	// An unwritable profile path errors instead of silently skipping.
-	if err := run(&b, config{
-		net: "star", n: 3, workload: "perm", trials: 1,
-		cpuprofile: filepath.Join(dir, "no", "such", "dir.pprof"),
-	}); err == nil {
+	if err := runArgs(&b, "-net", "star", "-n", "3", "-workload", "perm", "-trials", "1", "-cpuprofile", filepath.Join(dir, "no", "such", "dir.pprof")); err == nil {
 		t.Fatal("unwritable cpuprofile path accepted")
 	}
 }
@@ -682,8 +890,8 @@ const starPagedBudget = 64
 func TestRunHashedMatchesDense(t *testing.T) {
 	out := func(memBudget int64) string {
 		var b strings.Builder
-		cfg := config{net: "star", n: 4, workload: "perm", trials: 2, seed: 7, workers: 1, memBudget: memBudget}
-		if err := run(&b, cfg); err != nil {
+		args := []string{"-net", "star", "-n", "4", "-workload", "perm", "-trials", "2", "-seed", "7", "-workers", "1", "-membudget", fmt.Sprint(memBudget)}
+		if err := runArgs(&b, args...); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -703,32 +911,32 @@ func TestRunHashedMatchesDense(t *testing.T) {
 // flat → paged → hashed ladder instead of erroring.
 func TestRunMemStatsFlags(t *testing.T) {
 	var b strings.Builder
-	cfg := config{net: "star", n: 4, workload: "perm", trials: 1, seed: 7, workers: 1, memStats: true}
-	if err := run(&b, cfg); err != nil {
+	args := []string{"-net", "star", "-n", "4", "-workload", "perm", "-trials", "1", "-seed", "7", "-workers", "1", "-memstats"}
+	if err := runArgs(&b, args...); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "memory: state=dense table=") {
 		t.Fatalf("missing dense memory line in %q", b.String())
 	}
 	b.Reset()
-	cfg.memBudget = starPagedBudget // the directory fits, the flat table does not
-	if err := run(&b, cfg); err != nil {
+	// The directory fits, the flat table does not.
+	if err := runArgs(&b, append(args, "-membudget", fmt.Sprint(starPagedBudget))...); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "memory: state=paged") || !strings.Contains(b.String(), "degraded(over budget)") {
 		t.Fatalf("missing degraded paged memory line in %q", b.String())
 	}
 	b.Reset()
-	cfg.memBudget = 1 // no table fits one byte: degrade, don't error
-	if err := run(&b, cfg); err != nil {
+	// No table fits one byte: degrade, don't error.
+	if err := runArgs(&b, append(args, "-membudget", "1")...); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "state=hashed degraded(over budget)") {
 		t.Fatalf("missing degraded memory line in %q", b.String())
 	}
 	b.Reset()
-	jcfg := config{net: "star", n: 4, workload: "perm", trials: 1, seed: 7, workers: 1, memBudget: starPagedBudget, jsonOut: true}
-	if err := run(&b, jcfg); err != nil {
+	jargs := []string{"-net", "star", "-n", "4", "-workload", "perm", "-trials", "1", "-seed", "7", "-workers", "1", "-membudget", fmt.Sprint(starPagedBudget), "-json"}
+	if err := runArgs(&b, jargs...); err != nil {
 		t.Fatal(err)
 	}
 	var res result
@@ -741,11 +949,8 @@ func TestRunMemStatsFlags(t *testing.T) {
 	// Event cells price time, not table memory: the line says so
 	// instead of reporting zeroes as a footprint.
 	b.Reset()
-	ecfg := config{
-		net: "star", n: 4, workload: "perm", trials: 1, seed: 7, memStats: true,
-		engine: "event", latency: "fixed", base: 1, gap: 1,
-	}
-	if err := run(&b, ecfg); err != nil {
+	eargs := []string{"-net", "star", "-n", "4", "-workload", "perm", "-trials", "1", "-seed", "7", "-memstats", "-engine", "event", "-latency", "fixed", "-base", "1", "-gap", "1"}
+	if err := runArgs(&b, eargs...); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "memory: not priced") {
@@ -804,20 +1009,20 @@ func TestRunServerDiff(t *testing.T) {
 	b := submit(8)
 
 	var out strings.Builder
-	if err := run(&out, config{reportdiff: true, server: ts.URL, diffArgs: []string{a, a}}); err != nil {
+	if err := runArgs(&out, "-reportdiff", "-server", ts.URL, a, a); err != nil {
 		t.Fatalf("self-diff flagged: %v", err)
 	}
 	if !strings.Contains(out.String(), "identical") {
 		t.Fatalf("unexpected server diff output %q", out.String())
 	}
-	if err := run(&out, config{reportdiff: true, server: ts.URL, diffArgs: []string{a, b}}); err == nil ||
+	if err := runArgs(&out, "-reportdiff", "-server", ts.URL, a, b); err == nil ||
 		!strings.Contains(err.Error(), "line") {
 		t.Fatalf("cross-seed server diff: want a drift error locating the line, got %v", err)
 	}
-	if err := run(&out, config{reportdiff: true, server: ts.URL, diffArgs: []string{a}}); err == nil {
+	if err := runArgs(&out, "-reportdiff", "-server", ts.URL, a); err == nil {
 		t.Fatal("single-ID server diff accepted")
 	}
-	if err := run(&out, config{reportdiff: true, server: ts.URL, diffArgs: []string{a, "nope"}}); err == nil {
+	if err := runArgs(&out, "-reportdiff", "-server", ts.URL, a, "nope"); err == nil {
 		t.Fatal("diff against an unknown job accepted")
 	}
 }
@@ -835,7 +1040,7 @@ func TestRunAdvSearch(t *testing.T) {
 	}
 	freeze := filepath.Join(dir, "frozen")
 	var b strings.Builder
-	if err := run(&b, config{advsearch: spec, freeze: freeze}); err != nil {
+	if err := runArgs(&b, "-advsearch", spec, "-freeze", freeze); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -846,19 +1051,19 @@ func TestRunAdvSearch(t *testing.T) {
 	}
 	// The frozen file loads back and prices as a workload.
 	b.Reset()
-	if err := run(&b, config{frozen: freeze, net: "hypercube", n: 3, workload: "adv:hypercube:g8", trials: 1, seed: 7}); err != nil {
+	if err := runArgs(&b, "-frozen", freeze, "-net", "hypercube", "-n", "3", "-workload", "adv:hypercube:g8", "-trials", "1", "-seed", "7"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "adv:hypercube:g8: rounds mean=") {
 		t.Fatalf("frozen workload report %q", b.String())
 	}
 	// ...but refuses every other node count.
-	if err := run(&b, config{frozen: freeze, net: "star", n: 4, workload: "adv:hypercube:g8", trials: 1}); err == nil ||
+	if err := runArgs(&b, "-frozen", freeze, "-net", "star", "-n", "4", "-workload", "adv:hypercube:g8", "-trials", "1"); err == nil ||
 		!strings.Contains(err.Error(), "pinned to 8 nodes") {
 		t.Fatalf("frozen workload on the wrong instance: %v", err)
 	}
 	b.Reset()
-	if err := run(&b, config{advsearch: spec, jsonOut: true}); err != nil {
+	if err := runArgs(&b, "-advsearch", spec, "-json"); err != nil {
 		t.Fatal(err)
 	}
 	var rep struct {
@@ -871,10 +1076,10 @@ func TestRunAdvSearch(t *testing.T) {
 		t.Fatal("-json report carries no findings")
 	}
 	// Bad inputs fail loudly.
-	if err := run(&b, config{advsearch: filepath.Join(dir, "absent.json")}); err == nil {
+	if err := runArgs(&b, "-advsearch", filepath.Join(dir, "absent.json")); err == nil {
 		t.Fatal("missing spec accepted")
 	}
-	if err := run(&b, config{frozen: filepath.Join(dir, "nope", "deeper")}); err == nil {
+	if err := runArgs(&b, "-frozen", filepath.Join(dir, "nope", "deeper")); err == nil {
 		// A missing -frozen directory is tolerated (zero files); only a
 		// corrupt file errors. Write one and retry.
 		bad := filepath.Join(dir, "badfrozen")
@@ -884,7 +1089,7 @@ func TestRunAdvSearch(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(bad, "x.advperm"), []byte("garbage"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := run(&b, config{frozen: bad, list: true}); err == nil {
+		if err := runArgs(&b, "-frozen", bad, "-list"); err == nil {
 			t.Fatal("corrupt frozen directory accepted")
 		}
 	}
@@ -902,7 +1107,7 @@ func TestRunAdvSearchJournaled(t *testing.T) {
 	}
 	out := filepath.Join(dir, "report.json")
 	var b strings.Builder
-	if err := run(&b, config{advsearch: spec, out: out}); err != nil {
+	if err := runArgs(&b, "-advsearch", spec, "-out", out); err != nil {
 		t.Fatal(err)
 	}
 	first, err := os.ReadFile(out)
@@ -912,7 +1117,7 @@ func TestRunAdvSearchJournaled(t *testing.T) {
 	if _, err := os.Stat(out + ".cells"); err != nil {
 		t.Fatalf("seed-sweep artifact missing: %v", err)
 	}
-	if err := run(&b, config{advsearch: spec, out: out}); err != nil {
+	if err := runArgs(&b, "-advsearch", spec, "-out", out); err != nil {
 		t.Fatal(err)
 	}
 	second, err := os.ReadFile(out)
@@ -930,11 +1135,8 @@ func TestRunAdvSearchJournaled(t *testing.T) {
 // byte for byte.
 func TestRunAdvSweepMatchesExpectedArtifact(t *testing.T) {
 	var b strings.Builder
-	cfg := config{
-		frozen: filepath.Join("..", "..", "sweeps", "adversarial"),
-		sweep:  filepath.Join("..", "..", "sweeps", "adv.json"),
-	}
-	if err := run(&b, cfg); err != nil {
+	args := []string{"-frozen", filepath.Join("..", "..", "sweeps", "adversarial"), "-sweep", filepath.Join("..", "..", "sweeps", "adv.json")}
+	if err := runArgs(&b, args...); err != nil {
 		t.Fatal(err)
 	}
 	expected := filepath.Join("..", "..", "sweeps", "expected", "adv.jsonl")

@@ -79,14 +79,15 @@ func TestMarkdownLinks(t *testing.T) {
 }
 
 // commandFlags parses the flag names a command defines from its
-// main.go flag registrations.
+// main.go flag registrations: package-level flag.X calls, or fs.X
+// calls on the flag set a command's parse function registers on.
 func commandFlags(t *testing.T, cmd string) map[string]bool {
 	t.Helper()
 	src, err := os.ReadFile(filepath.Join("cmd", cmd, "main.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defs := regexp.MustCompile(`flag\.\w+(?:Var)?\((?:&[\w.]+, )?"([a-z0-9]+)"`)
+	defs := regexp.MustCompile(`\b(?:flag|fs)\.\w+\((?:&[\w.]+, )?"([a-z0-9]+)"`)
 	flags := make(map[string]bool)
 	for _, m := range defs.FindAllStringSubmatch(string(src), -1) {
 		flags[m[1]] = true

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -374,9 +373,9 @@ func seedSpec(spec Spec) scenario.Spec {
 // seed-sweep stage runs through scenario.RunJournaled into
 // out+".cells" (with its sidecar journal — an interrupted search
 // resumes without re-pricing completed families), the structured and
-// greedy stages run live, and the final report is written to out via
-// a temp-file rename, so out either holds a complete report or the
-// previous one.
+// greedy stages run live, and the final report is published to out
+// with scenario.WriteFileAtomic, so out either holds a complete report
+// or the previous one.
 func RunJournaled(ctx context.Context, spec Spec, out string) (Report, error) {
 	spec = spec.withDefaults()
 	var seedCache map[string]scenario.Result
@@ -408,14 +407,10 @@ func RunJournaled(ctx context.Context, spec Spec, out string) (Report, error) {
 	if err != nil {
 		return rep, err
 	}
-	tmp := out + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return rep, err
-	}
-	if err := os.Rename(tmp, out); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return rep, scenario.WriteFileAtomic(out, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	})
 }
 
 // hasStrategy reports whether the (defaulted) spec runs the named

@@ -241,12 +241,10 @@ func (n *MeshNetwork) Route(pkts []*packet.Packet, combine bool, seed uint64, wo
 		}
 	}
 	// Module load: delivered requests per destination node.
-	loads := make(map[int]int)
+	loads := make([]int, n.G.Nodes())
 	for _, p := range pkts {
 		loads[p.Dst]++
-		if loads[p.Dst] > out.MaxModuleLoad {
-			out.MaxModuleLoad = loads[p.Dst]
-		}
+		out.MaxModuleLoad = max(out.MaxModuleLoad, loads[p.Dst])
 	}
 	return out
 }

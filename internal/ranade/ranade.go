@@ -72,6 +72,7 @@ type link struct {
 	q       []item
 	sentEOS bool
 	lastKey uint64
+	real    int // queued items that are neither ghosts nor EOS
 	maxReal int
 }
 
@@ -82,14 +83,9 @@ func (l *link) push(it item) {
 		return
 	}
 	l.q = append(l.q, it)
-	real := 0
-	for _, e := range l.q {
-		if !e.ghost && !e.eos {
-			real++
-		}
-	}
-	if real > l.maxReal {
-		l.maxReal = real
+	if !it.ghost && !it.eos {
+		l.real++
+		l.maxReal = max(l.maxReal, l.real)
 	}
 }
 
@@ -103,6 +99,9 @@ func (l *link) head() (item, bool) {
 func (l *link) pop() item {
 	it := l.q[0]
 	l.q = l.q[1:]
+	if !it.ghost && !it.eos {
+		l.real--
+	}
 	return it
 }
 

@@ -309,8 +309,10 @@ func RunJournaled(ctx context.Context, spec Spec, out string, opts JournalOption
 		}
 		sleep(backoff << uint(pass))
 	}
-	if ferr := finalizeArtifact(out, hash, results); ferr != nil {
-		return results, ferr
+	if ferr := WriteFileAtomic(out, func(w io.Writer) error {
+		return WriteArtifact(w, hash, results)
+	}); ferr != nil {
+		return results, fmt.Errorf("scenario: publishing artifact: %w", ferr)
 	}
 	os.Remove(jpath)
 	return results, err
@@ -334,33 +336,32 @@ func baseKey(r Result) string {
 	return r.Scenario
 }
 
-// finalizeArtifact writes the sorted artifact plus trailer to
-// out+".tmp" and atomically renames it over out.
-func finalizeArtifact(out, hash string, results []Result) error {
-	tmp := out + ".tmp"
+// WriteFileAtomic publishes path atomically: write fills path+".tmp",
+// which is synced, closed and renamed over path, so path holds either
+// its previous contents or the complete new ones, never a truncation.
+// Every error path removes the temporary file.
+func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
+	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("scenario: creating artifact: %w", err)
+		return err
 	}
-	if err := WriteArtifact(f, hash, results); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("scenario: writing artifact: %w", err)
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
+	if err = write(f); err != nil {
+		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("scenario: syncing artifact: %w", err)
+	if err = f.Sync(); err != nil {
+		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("scenario: closing artifact: %w", err)
+	if err = f.Close(); err != nil {
+		return err
 	}
-	if err := os.Rename(tmp, out); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("scenario: publishing artifact: %w", err)
-	}
-	return nil
+	return os.Rename(tmp, path)
 }
 
 // readJournal loads an interrupted run's journal into a skip map

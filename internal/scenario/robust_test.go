@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -419,4 +420,47 @@ func FuzzReadResults(f *testing.F) {
 		}
 		_, _ = VerifyTrailer(bytes.NewReader(data))
 	})
+}
+
+// TestSweepWriteFileAtomic pins the one atomic publisher every
+// artifact, report and persisted spec goes through: a good write
+// replaces the file whole, and a failing write keeps the previous
+// contents and leaves no temporary file behind.
+func TestSweepWriteFileAtomic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "artifact.jsonl")
+	write := func(body string, fail error) error {
+		return WriteFileAtomic(path, func(w io.Writer) error {
+			if _, err := io.WriteString(w, body); err != nil {
+				return err
+			}
+			return fail
+		})
+	}
+	if err := write("first\n", nil); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	if err := write("partial", boom); !errors.Is(err, boom) {
+		t.Fatalf("failing write: got %v, want %v", err, boom)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "first\n" {
+		t.Fatalf("failed write clobbered the published file: %q", got)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failed write left its temporary file: %v", err)
+	}
+	if err := write("second\n", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "second\n" {
+		t.Fatalf("second write not published: %q", got)
+	}
+	// An unwritable directory errors without creating anything.
+	if err := WriteFileAtomic(filepath.Join(t.TempDir(), "no", "dir"), func(io.Writer) error { return nil }); err == nil {
+		t.Fatal("write into a missing directory accepted")
+	}
 }

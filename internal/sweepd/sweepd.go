@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -380,12 +381,10 @@ func writeSpecFile(path string, spec scenario.Spec) error {
 	if err != nil {
 		return fmt.Errorf("sweepd: encoding spec: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("sweepd: persisting spec: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := scenario.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(append(b, '\n'))
+		return err
+	}); err != nil {
 		return fmt.Errorf("sweepd: persisting spec: %w", err)
 	}
 	return nil
