@@ -1,12 +1,11 @@
 // Package experiments regenerates every evaluation result of the
-// paper. Each exported function is one experiment from the index in
-// DESIGN.md: it runs the relevant workloads over the relevant
-// networks and returns a metrics.Table, the rows cmd/tables prints.
-// Only cmd/tables drives these functions: the root bench_test.go
-// benchmarks (BenchmarkE1–E21) call simnet, leveled, mesh, emul and
-// the scenario layer directly at reduced sizes, borrowing just the
-// size and fault grids from here. The grid experiments (E2, E3, E10,
-// E14, E16, E17, E18) are declarative scenario sweeps over the
+// paper. Each entry of Index is one experiment from the E1-E21 index
+// in DESIGN.md: it runs the relevant workloads over the relevant
+// networks and returns a metrics.Table. Index is the only definition
+// of an experiment: cmd/tables prints its tables, the root
+// BenchmarkExperiments runs them at quick sizes, and this package's
+// tests pin each quick table by digest. The grid experiments (E2, E3,
+// E10, E14, E16, E17, E18) are declarative scenario sweeps over the
 // topology and workload registries — their hand-rolled
 // routing loops live in internal/scenario now, E17 additionally
 // sweeps the emulation-mode axis (erew/crcw PRAM steps instead of raw
@@ -115,12 +114,12 @@ func registryNet(name string, p topology.Params) emul.Network {
 	return net
 }
 
-// E1LeveledPermutation reproduces Theorem 2.1: permutation routing on
+// e1LeveledPermutation reproduces Theorem 2.1: permutation routing on
 // leveled networks completes in Õ(ℓ) with FIFO queues of size Õ(ℓ).
 // Two sweeps: binary butterflies of growing depth (fixed d, growing
 // ℓ) and d-ary butterflies with ℓ = d+1 (the ℓ = O(d) regime the
 // emulation needs).
-func E1LeveledPermutation(o Options) *metrics.Table {
+func e1LeveledPermutation(o Options) *metrics.Table {
 	o = o.withDefaults()
 	t := metrics.NewTable("E1 (Thm 2.1) permutation routing on leveled networks",
 		"network", "d", "levels", "N", "rounds(mean)", "rounds(max)", "rounds/l", "maxQ", "queue/l")
@@ -167,13 +166,13 @@ func addRow(t *metrics.Table, spec leveled.Spec, o Options) {
 		fmtF(float64(maxQ)/l))
 }
 
-// E2StarRouting reproduces Theorem 2.2 and Corollary 2.1: permutation
+// e2StarRouting reproduces Theorem 2.2 and Corollary 2.1: permutation
 // and partial n-relation routing on the n-star graph in Õ(n) steps,
 // on both the physical network (Algorithm 2.2, random intermediate
 // node) and the logical leveled unrolling (Algorithm 2.1, random link
 // per level) — one scenario sweep per n crossing the two views with
 // the two traffic classes.
-func E2StarRouting(o Options) *metrics.Table {
+func e2StarRouting(o Options) *metrics.Table {
 	o = o.withDefaults()
 	t := metrics.NewTable("E2 (Thm 2.2, Cor 2.1) n-star routing",
 		"n", "N=n!", "diam", "workload", "algorithm", "rounds(mean)", "rounds(max)", "rounds/diam", "maxQ")
@@ -211,10 +210,10 @@ func E2StarRouting(o Options) *metrics.Table {
 	return t
 }
 
-// E3ShuffleRouting reproduces Theorem 2.3 and Corollary 2.2:
+// e3ShuffleRouting reproduces Theorem 2.3 and Corollary 2.2:
 // permutation and partial n-relation routing on the n-way shuffle in
 // Õ(n), via Algorithm 2.3 on the leveled view.
-func E3ShuffleRouting(o Options) *metrics.Table {
+func e3ShuffleRouting(o Options) *metrics.Table {
 	o = o.withDefaults()
 	t := metrics.NewTable("E3 (Thm 2.3, Cor 2.2) n-way shuffle routing",
 		"n", "N=n^n", "workload", "rounds(mean)", "rounds(max)", "rounds/n", "maxQ")
@@ -248,12 +247,12 @@ func E3ShuffleRouting(o Options) *metrics.Table {
 	return t
 }
 
-// E4HashLoad reproduces Lemma 2.2 and Corollaries 3.1-3.2: with
+// e4HashLoad reproduces Lemma 2.2 and Corollaries 3.1-3.2: with
 // degree S = cL, the maximum number of one step's addresses mapped to
 // a single module stays below cL w.h.p.; a degree sweep shows the
 // polynomial degree buying down the tail, and N-into-N hashing shows
 // the log/loglog balls-in-bins shape.
-func E4HashLoad(o Options) *metrics.Table {
+func e4HashLoad(o Options) *metrics.Table {
 	o = o.withDefaults()
 	trials := o.Trials * 4
 	t := metrics.NewTable("E4 (Lemma 2.2, Cor 3.1) hash max module load",
@@ -300,11 +299,11 @@ func E4HashLoad(o Options) *metrics.Table {
 	return t
 }
 
-// E5PRAMStepLeveled reproduces Theorems 2.5 and 2.6 with Corollaries
+// e5PRAMStepLeveled reproduces Theorems 2.5 and 2.6 with Corollaries
 // 2.3-2.6: one EREW or CRCW PRAM step emulated on the star graph and
 // the n-way shuffle costs Õ(diameter) network rounds, with combining
 // keeping the CRCW hot spot at the same scale.
-func E5PRAMStepLeveled(o Options) *metrics.Table {
+func e5PRAMStepLeveled(o Options) *metrics.Table {
 	o = o.withDefaults()
 	t := metrics.NewTable("E5 (Thm 2.5/2.6) PRAM step emulation on leveled networks",
 		"network", "N", "diam", "step", "combine", "cost(mean)", "cost(max)", "cost/diam", "merges")
@@ -367,11 +366,11 @@ func E5PRAMStepLeveled(o Options) *metrics.Table {
 	return t
 }
 
-// E6StarVsHypercube reproduces the introduction's comparison: the
+// e6StarVsHypercube reproduces the introduction's comparison: the
 // star graph's degree and diameter grow more slowly than the
 // hypercube's as a function of network size, and PRAM-step emulation
 // time (∝ diameter) is accordingly sub-logarithmic vs logarithmic.
-func E6StarVsHypercube(o Options) *metrics.Table {
+func e6StarVsHypercube(o Options) *metrics.Table {
 	o = o.withDefaults()
 	t := metrics.NewTable("E6 (intro, §2.3.4) star vs hypercube",
 		"network", "N", "degree", "diameter", "EREW step cost", "cost/log2(N)")
@@ -426,10 +425,10 @@ func E6StarVsHypercube(o Options) *metrics.Table {
 	return t
 }
 
-// E7MeshRouting reproduces Theorem 3.1: the three-stage mesh routing
+// e7MeshRouting reproduces Theorem 3.1: the three-stage mesh routing
 // algorithm finishes a random permutation in 2n + o(n) rounds with
 // modest queues, against the Valiant-Brebner 3n baseline.
-func E7MeshRouting(o Options) *metrics.Table {
+func e7MeshRouting(o Options) *metrics.Table {
 	o = o.withDefaults()
 	t := metrics.NewTable("E7 (Thm 3.1) mesh permutation routing, three-stage vs Valiant-Brebner",
 		"n", "N", "algorithm", "rounds(mean)", "rounds(max)", "rounds/n", "maxQ")
@@ -466,10 +465,10 @@ func E7MeshRouting(o Options) *metrics.Table {
 	return t
 }
 
-// E8MeshEmulation reproduces Theorem 3.2: one EREW PRAM step on the
+// e8MeshEmulation reproduces Theorem 3.2: one EREW PRAM step on the
 // n x n mesh costs 4n + o(n) with the paper's two-phase scheme,
 // against the Karlin-Upfal four-phase scheme (~8n).
-func E8MeshEmulation(o Options) *metrics.Table {
+func e8MeshEmulation(o Options) *metrics.Table {
 	o = o.withDefaults()
 	t := metrics.NewTable("E8 (Thm 3.2) EREW PRAM step on the mesh",
 		"n", "scheme", "cost(mean)", "cost(max)", "cost/n")
@@ -500,12 +499,12 @@ func E8MeshEmulation(o Options) *metrics.Table {
 	return t
 }
 
-// E9MeshLocality reproduces Theorem 3.3: requests originating within
+// e9MeshLocality reproduces Theorem 3.3: requests originating within
 // L1 distance d of their memory finish in O(d) — ~2d per routing
 // phase, ~4d for the emulated request+reply step, within the 6d+o(d)
 // bound. The workload comes through the registry's capability gate
 // (the mesh adapter preserves the reflection-clamped L1 sampling).
-func E9MeshLocality(o Options) *metrics.Table {
+func e9MeshLocality(o Options) *metrics.Table {
 	o = o.withDefaults()
 	n := 128
 	if o.Quick {
@@ -551,11 +550,11 @@ func E9MeshLocality(o Options) *metrics.Table {
 	return t
 }
 
-// E10QueueSizes ablates the queueing discipline (§3.4): furthest-
+// e10QueueSizes ablates the queueing discipline (§3.4): furthest-
 // destination-first vs FIFO on random permutations, reporting max
 // queue occupancy and completion time — the sweep runner's
 // discipline axis on the mesh family.
-func E10QueueSizes(o Options) *metrics.Table {
+func e10QueueSizes(o Options) *metrics.Table {
 	o = o.withDefaults()
 	t := metrics.NewTable("E10 (§3.4) queue discipline ablation on the mesh",
 		"n", "discipline", "rounds(mean)", "rounds(max)", "maxQ")
@@ -591,11 +590,11 @@ func intSqrt(n int) int {
 	return s
 }
 
-// E11Rehash reproduces §2.1's rehashing claims: with the proper
+// e11Rehash reproduces §2.1's rehashing claims: with the proper
 // degree S = cL the rehash never fires across hundreds of steps on a
 // healthy network, while a deliberately tiny network with a tight
 // threshold shows the machinery working and its cost being charged.
-func E11Rehash(o Options) *metrics.Table {
+func e11Rehash(o Options) *metrics.Table {
 	o = o.withDefaults()
 	steps := 200
 	if o.Quick {
@@ -633,11 +632,11 @@ func starLeveledNet(n int) emul.Network {
 	return registryNet("star", topology.Params{N: n})
 }
 
-// E12SortVsRoute reproduces §2.2.1's remark that sorting-based
+// e12SortVsRoute reproduces §2.2.1's remark that sorting-based
 // (Batcher-style) routing costs many times the network diameter:
 // shearsort permutation routing vs the three-stage randomized
 // algorithm.
-func E12SortVsRoute(o Options) *metrics.Table {
+func e12SortVsRoute(o Options) *metrics.Table {
 	o = o.withDefaults()
 	t := metrics.NewTable("E12 (§2.2.1) deterministic sorting-based routing vs randomized",
 		"n", "shearsort rounds", "three-stage rounds(mean)", "ratio")
@@ -663,13 +662,11 @@ func E12SortVsRoute(o Options) *metrics.Table {
 	return t
 }
 
-// CrossFamilySizes picks a comparable size (a few thousand nodes, or
+// crossFamilySizes picks a comparable size (a few thousand nodes, or
 // a few hundred in quick mode) for each registered family so the E14
 // rounds/diam comparison is apples-to-apples. Families registered
-// without an entry fall back to their default parameters. The E14
-// benchmark (bench_test.go) uses the same table, so the table and
-// the benchmark always price identical configurations.
-func CrossFamilySizes(quick bool) map[string]topology.Params {
+// without an entry fall back to their default parameters.
+func crossFamilySizes(quick bool) map[string]topology.Params {
 	if quick {
 		return map[string]topology.Params{
 			"star":      {N: 5},       // 120
@@ -702,7 +699,7 @@ func CrossFamilySizes(quick bool) map[string]topology.Params {
 // the paper's leveled-network theorems do). The degree column of E14
 // comes back alongside, keyed by family.
 func registryTopos(quick bool) ([]scenario.TopoRef, map[string]string) {
-	sizes := CrossFamilySizes(quick)
+	sizes := crossFamilySizes(quick)
 	var topos []scenario.TopoRef
 	degrees := make(map[string]string)
 	for _, name := range topology.Names() {
@@ -718,14 +715,14 @@ func registryTopos(quick bool) ([]scenario.TopoRef, map[string]string) {
 	return topos, degrees
 }
 
-// E14CrossFamily prices permutation routing across every family in
+// e14CrossFamily prices permutation routing across every family in
 // the topology registry at comparable sizes, reporting rounds/diam —
 // the paper's claim that the two-phase framework is topology-generic:
 // routing time stays Õ(diameter) whichever network family carries the
 // traffic. Families with a leveled unrolling route via Algorithm 2.1
 // on it; the rest route via Algorithm 2.2 on the graph. A family
 // registered tomorrow joins the sweep with no edits here.
-func E14CrossFamily(o Options) *metrics.Table {
+func e14CrossFamily(o Options) *metrics.Table {
 	o = o.withDefaults()
 	t := metrics.NewTable("E14 (framework) cross-family permutation routing at comparable sizes",
 		"family", "network", "N", "degree", "diam", "view", "rounds(mean)", "rounds(max)", "rounds/diam", "maxQ")
@@ -750,7 +747,7 @@ func E14CrossFamily(o Options) *metrics.Table {
 	return t
 }
 
-// E16ScenarioMatrix prices every registered topology family against
+// e16ScenarioMatrix prices every registered topology family against
 // every applicable registered workload generator — the full
 // cross-product of the two registries, gated by the workload
 // capability checks (SkipIncompatible drops pairs like bitrev on a
@@ -758,7 +755,7 @@ func E14CrossFamily(o Options) *metrics.Table {
 // appears in this table with no edits here. Sizes are the quick
 // comparable table regardless of o.Quick: the matrix is wide, so each
 // cell stays small.
-func E16ScenarioMatrix(o Options) *metrics.Table {
+func e16ScenarioMatrix(o Options) *metrics.Table {
 	o = o.withDefaults()
 	t := metrics.NewTable("E16 (registries) every family x every applicable workload",
 		"family", "workload", "class", "N", "view", "rounds(mean)", "rounds/diam", "maxQ")
@@ -788,7 +785,7 @@ func E16ScenarioMatrix(o Options) *metrics.Table {
 	return t
 }
 
-// E17EmulationMatrix prices Theorems 2.5/2.6 over the whole grid: one
+// e17EmulationMatrix prices Theorems 2.5/2.6 over the whole grid: one
 // emulated PRAM step (request routing, read replies, rehash charges)
 // on every registered topology family × every single-step access
 // pattern, in both emulation modes — erew (exclusive accesses, Thm
@@ -800,7 +797,7 @@ func E16ScenarioMatrix(o Options) *metrics.Table {
 // diameter, not the family identity. Like E16, sizes are the quick
 // comparable table regardless of o.Quick: the matrix is wide, so each
 // cell stays small.
-func E17EmulationMatrix(o Options) *metrics.Table {
+func e17EmulationMatrix(o Options) *metrics.Table {
 	o = o.withDefaults()
 	t := metrics.NewTable("E17 (Thm 2.5/2.6) emulated PRAM step: every family x every access pattern x mode",
 		"family", "workload", "mode", "N", "diam", "view", "cost(mean)", "cost/diam", "merges", "rehashes", "maxQ")
@@ -833,19 +830,19 @@ func E17EmulationMatrix(o Options) *metrics.Table {
 	return t
 }
 
-// E18Latency is the link model E18 dials into its event cells: unit
+// e18Latency is the link model E18 dials into its event cells: unit
 // base latency with two ticks of uniform jitter — enough asynchrony
 // to break the synchronous-round lockstep without dominating the
 // routing time itself.
-func E18Latency() *scenario.LatencySpec {
+func e18Latency() *scenario.LatencySpec {
 	return &scenario.LatencySpec{Model: "jitter", Jitter: 2}
 }
 
-// E18FaultLevels is the canonical fault ladder of E18: a fault-free
+// e18FaultLevels is the canonical fault ladder of E18: a fault-free
 // level (isolating pure asynchrony against the synchronous baseline),
 // a moderate level and a harsh one combining transient link outages,
 // straggler nodes and packet loss with retransmission.
-func E18FaultLevels() []scenario.FaultSpec {
+func e18FaultLevels() []scenario.FaultSpec {
 	return []scenario.FaultSpec{
 		{Name: "none"},
 		{Name: "moderate", LinkFailure: 0.05, Straggler: 0.1, Drop: 0.05},
@@ -853,7 +850,7 @@ func E18FaultLevels() []scenario.FaultSpec {
 	}
 }
 
-// E18AsynchronyMatrix prices routing under asynchrony: every
+// e18AsynchronyMatrix prices routing under asynchrony: every
 // registered family × a permutation and a many-one workload, on the
 // synchronous round engine (the baseline every other experiment
 // reports) and on the asynchronous event engine at each fault level
@@ -865,7 +862,7 @@ func E18FaultLevels() []scenario.FaultSpec {
 // with the retransmit column pricing the loss recovery explicitly.
 // Like E16/E17, sizes are the quick comparable table: the matrix is
 // wide, so each cell stays small.
-func E18AsynchronyMatrix(o Options) *metrics.Table {
+func e18AsynchronyMatrix(o Options) *metrics.Table {
 	o = o.withDefaults()
 	t := metrics.NewTable("E18 (asynchrony) event engine vs synchronous rounds: every family x workload x fault level",
 		"family", "workload", "engine", "fault", "N", "diam", "delivered(mean)", "delivered/diam", "retransmits", "maxQ")
@@ -874,8 +871,8 @@ func E18AsynchronyMatrix(o Options) *metrics.Table {
 		Topologies:       topos,
 		Workloads:        []scenario.WorkRef{{Name: "perm"}, {Name: "khot"}},
 		Engines:          []string{scenario.EngineRound, scenario.EngineEvent},
-		Latency:          E18Latency(),
-		Faults:           E18FaultLevels(),
+		Latency:          e18Latency(),
+		Faults:           e18FaultLevels(),
 		Trials:           o.Trials,
 		Seed:             o.Seed,
 		SkipIncompatible: true,
@@ -900,10 +897,10 @@ func E18AsynchronyMatrix(o Options) *metrics.Table {
 	return t
 }
 
-// E19Sizes is the scale ladder E19 climbs, split at the engine's
+// e19Sizes is the scale ladder E19 climbs, split at the engine's
 // flat-table bound. The ab rungs still fit the flat dense tables
 // (every link key below 2^24), so they price the dense-vs-paged A/B
-// directly: once unbudgeted and once under E19PagedBudget, which
+// directly: once unbudgeted and once under e19PagedBudget, which
 // steps them down to paged; the ceiling rungs grow until the de Bruijn
 // key space crosses the flat bound and the engine pages on its own.
 // Every rung routes the point-to-point graph view: the leveled de
@@ -911,9 +908,8 @@ func E18AsynchronyMatrix(o Options) *metrics.Table {
 // would page the A/B rungs too and leave nothing dense to compare
 // against. Quick sizes shrink every rung to unit-test scale (where
 // nothing pages naturally and only the budget exercises the paged
-// path). The E19 benchmark (bench_test.go) uses the same ladder, so
-// the table and the benchmark price identical configurations.
-func E19Sizes(quick bool) (ab, ceiling []scenario.TopoRef) {
+// path).
+func e19Sizes(quick bool) (ab, ceiling []scenario.TopoRef) {
 	if quick {
 		return []scenario.TopoRef{
 				{Family: "debruijn", N: 14, K: 2}, // 16384
@@ -933,17 +929,17 @@ func E19Sizes(quick bool) (ab, ceiling []scenario.TopoRef) {
 		}
 }
 
-// E19PagedBudget is the memory budget that steps E19's A/B rungs
+// e19PagedBudget is the memory budget that steps E19's A/B rungs
 // from flat down to paged tables at Workers 1: it covers every rung's
 // page directory (8 B per 4096 link keys, at most 4 KiB on the full
 // ladder) but none of their flat tables (16 B per link key, at least
 // 512 KiB even at quick sizes).
-const E19PagedBudget = 64 << 10
+const e19PagedBudget = 64 << 10
 
-// E19ScaleCeiling prices million-node-and-beyond routing — the scale
+// e19ScaleCeiling prices million-node-and-beyond routing — the scale
 // the engine's paged tables and 64-bit link keys exist for. Three
 // sweeps: an A/B at sizes where the flat dense tables still fit,
-// routing each configuration once dense and once under E19PagedBudget,
+// routing each configuration once dense and once under e19PagedBudget,
 // which resolves paged (identical rounds by construction; the B/node
 // column prices what paging costs), and a ceiling ladder that grows
 // de Bruijn to 16.7M nodes — past the flat 2^24-key bound, where the engine pages
@@ -954,15 +950,15 @@ const E19PagedBudget = 64 << 10
 // Trials are forced to 1 and Workers to [1]: the top rung routes 16.7M
 // packets in one trial (~19 minutes of wall clock on one core; the
 // full ladder is ~30), and variance is not what this table measures.
-func E19ScaleCeiling(o Options) *metrics.Table {
+func e19ScaleCeiling(o Options) *metrics.Table {
 	o = o.withDefaults()
 	t := metrics.NewTable("E19 (scale) million-node ceiling: dense vs paged tables up the ladder",
 		"family", "network", "N", "budget(B)", "state", "diam", "rounds(mean)", "rounds/diam", "table(B)", "arena(B)", "B/node", "maxQ")
-	ab, ceiling := E19Sizes(o.Quick)
+	ab, ceiling := e19Sizes(o.Quick)
 	for _, rung := range []struct {
 		topos  []scenario.TopoRef
 		budget int64
-	}{{ab, 0}, {ab, E19PagedBudget}, {ceiling, 0}} {
+	}{{ab, 0}, {ab, e19PagedBudget}, {ceiling, 0}} {
 		budget := "-"
 		if rung.budget > 0 {
 			budget = fmt.Sprintf("%d", rung.budget)
@@ -991,7 +987,7 @@ func E19ScaleCeiling(o Options) *metrics.Table {
 	return t
 }
 
-// E20BuildCache prices the cross-cell build cache and buffer pools:
+// e20BuildCache prices the cross-cell build cache and buffer pools:
 // one fresh cache serves the same cross-family sweep twice — the cold
 // pass constructs every topology, the warm pass adopts the cached
 // builds plus the pooled arenas and engine tables — and each row
@@ -1001,7 +997,7 @@ func E19ScaleCeiling(o Options) *metrics.Table {
 // pass's (the bit-identity the cache and pools guarantee). The cells/
 // hits/misses/evict columns are deterministic; the time and KB
 // columns are wall-clock and heap measurements that vary run to run.
-func E20BuildCache(o Options) *metrics.Table {
+func e20BuildCache(o Options) *metrics.Table {
 	o = o.withDefaults()
 	topos, _ := registryTopos(o.Quick)
 	spec := scenario.Spec{
@@ -1054,7 +1050,7 @@ func E20BuildCache(o Options) *metrics.Table {
 	return t
 }
 
-// E21AdversarialBounds hunts worst-case inputs on every registered
+// e21AdversarialBounds hunts worst-case inputs on every registered
 // family and reports the observed worst against the theorem bound —
 // the tail the paper's with-high-probability statements hide. Per
 // family, the three internal/advsearch strategies (seed sweeps with
@@ -1063,7 +1059,7 @@ func E20BuildCache(o Options) *metrics.Table {
 // column is C×diameter with the search default C, and a "no" in the
 // within column is an input beating the theorem constant. A family
 // registered tomorrow is hunted with no edits here.
-func E21AdversarialBounds(o Options) *metrics.Table {
+func e21AdversarialBounds(o Options) *metrics.Table {
 	o = o.withDefaults()
 	topos, _ := registryTopos(true)
 	spec := advsearch.Spec{
@@ -1122,25 +1118,26 @@ type Experiment struct {
 }
 
 // Index lists every table-producing experiment in order. E13 and E15
-// are Go benchmarks (bench_test.go), not tables, so they are absent.
+// price the round engine itself and are Go benchmarks in the root
+// package's bench_test.go, not tables, so they are absent.
 var Index = []Experiment{
-	{"E1", E1LeveledPermutation},
-	{"E2", E2StarRouting},
-	{"E3", E3ShuffleRouting},
-	{"E4", E4HashLoad},
-	{"E5", E5PRAMStepLeveled},
-	{"E6", E6StarVsHypercube},
-	{"E7", E7MeshRouting},
-	{"E8", E8MeshEmulation},
-	{"E9", E9MeshLocality},
-	{"E10", E10QueueSizes},
-	{"E11", E11Rehash},
-	{"E12", E12SortVsRoute},
-	{"E14", E14CrossFamily},
-	{"E16", E16ScenarioMatrix},
-	{"E17", E17EmulationMatrix},
-	{"E18", E18AsynchronyMatrix},
-	{"E19", E19ScaleCeiling},
-	{"E20", E20BuildCache},
-	{"E21", E21AdversarialBounds},
+	{"E1", e1LeveledPermutation},
+	{"E2", e2StarRouting},
+	{"E3", e3ShuffleRouting},
+	{"E4", e4HashLoad},
+	{"E5", e5PRAMStepLeveled},
+	{"E6", e6StarVsHypercube},
+	{"E7", e7MeshRouting},
+	{"E8", e8MeshEmulation},
+	{"E9", e9MeshLocality},
+	{"E10", e10QueueSizes},
+	{"E11", e11Rehash},
+	{"E12", e12SortVsRoute},
+	{"E14", e14CrossFamily},
+	{"E16", e16ScenarioMatrix},
+	{"E17", e17EmulationMatrix},
+	{"E18", e18AsynchronyMatrix},
+	{"E19", e19ScaleCeiling},
+	{"E20", e20BuildCache},
+	{"E21", e21AdversarialBounds},
 }

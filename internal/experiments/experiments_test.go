@@ -60,18 +60,40 @@ func tableDigest(id, rendered string) uint64 {
 	return h.Sum64()
 }
 
-// TestTableDigests runs every experiment of the index once at quick()
-// and checks its rendered table against the pinned digest.
-func TestTableDigests(t *testing.T) {
+// quickTables holds each experiment's rendered quick() table by id,
+// so the digest test and the shape checks below share one run per
+// experiment (the tests run sequentially, so a plain map suffices).
+var quickTables = map[string]string{}
+
+// quickTable returns the rendered quick() table of experiment id,
+// running it on first use. It skips in -short mode.
+func quickTable(t *testing.T, id string) string {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("experiment sweep in -short mode")
 	}
+	if rendered, ok := quickTables[id]; ok {
+		return rendered
+	}
+	for _, e := range Index {
+		if e.ID == id {
+			quickTables[id] = e.Run(quick()).String()
+			return quickTables[id]
+		}
+	}
+	t.Fatalf("no experiment %s in the index", id)
+	return ""
+}
+
+// TestTableDigests runs every experiment of the index once at quick()
+// and checks its rendered table against the pinned digest.
+func TestTableDigests(t *testing.T) {
 	if len(tableDigests) != len(Index) {
 		t.Errorf("%d pinned digests for %d experiments", len(tableDigests), len(Index))
 	}
 	for _, e := range Index {
 		t.Run(e.ID, func(t *testing.T) {
-			rendered := e.Run(quick()).String()
+			rendered := quickTable(t, e.ID)
 			if got, want := tableDigest(e.ID, rendered), tableDigests[e.ID]; got != want {
 				t.Errorf("digest %#x, want %#x:\n%s", got, want, rendered)
 			}
@@ -107,11 +129,8 @@ func dataLines(s string) []string {
 }
 
 func TestE7ThreeStageBeatsValiantBrebner(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment sweep in -short mode")
-	}
-	tb := E7MeshRouting(quick())
-	lines := dataLines(tb.String())
+	tb := quickTable(t, "E7")
+	lines := dataLines(tb)
 	// Rows alternate three-stage / valiant-brebner per n; compare the
 	// rounds/n column (index 5 after splitting: n N alg mean max
 	// rounds/n maxQ — "three-stage" is one field).
@@ -125,11 +144,8 @@ func TestE7ThreeStageBeatsValiantBrebner(t *testing.T) {
 }
 
 func TestE8TwoPhaseBeatsKU(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment sweep in -short mode")
-	}
-	tb := E8MeshEmulation(quick())
-	lines := dataLines(tb.String())
+	tb := quickTable(t, "E8")
+	lines := dataLines(tb)
 	for i := 0; i+1 < len(lines); i += 2 {
 		// columns: n scheme... cost(mean) cost(max) cost/n; scheme
 		// names contain spaces, so index from the end.
@@ -147,11 +163,8 @@ func TestE8TwoPhaseBeatsKU(t *testing.T) {
 }
 
 func TestE12SortingMuchSlower(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment sweep in -short mode")
-	}
-	tb := E12SortVsRoute(quick())
-	lines := dataLines(tb.String())
+	tb := quickTable(t, "E12")
+	lines := dataLines(tb)
 	for _, line := range lines {
 		f := strings.Fields(line)
 		ratio, err := strconv.ParseFloat(f[len(f)-1], 64)
@@ -169,11 +182,8 @@ func TestE12SortingMuchSlower(t *testing.T) {
 // event-mode rows at each fault level, the fault-free event rows stay
 // retransmit-free, and the harsh rows record retransmits somewhere.
 func TestE18EventRowsCoverEveryFamily(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment sweep in -short mode")
-	}
-	tb := E18AsynchronyMatrix(quick())
-	lines := dataLines(tb.String())
+	tb := quickTable(t, "E18")
+	lines := dataLines(tb)
 	families := map[string]map[string]bool{}
 	harshRetransmits := 0
 	for _, line := range lines {
@@ -219,11 +229,8 @@ func TestE18EventRowsCoverEveryFamily(t *testing.T) {
 // state with a positive footprint, and both rungs of both families
 // appear.
 func TestE19PagedMatchesDense(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment sweep in -short mode")
-	}
-	tb := E19ScaleCeiling(quick())
-	lines := dataLines(tb.String())
+	tb := quickTable(t, "E19")
+	lines := dataLines(tb)
 	// columns: family network N budget(B) state diam rounds(mean)
 	// rounds/diam table(B) arena(B) B/node maxQ
 	type rowKey struct{ network, budget string }
@@ -272,11 +279,8 @@ func TestE19PagedMatchesDense(t *testing.T) {
 }
 
 func TestE11NoRehashOnHealthyNetworks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment sweep in -short mode")
-	}
-	tb := E11Rehash(quick())
-	lines := dataLines(tb.String())
+	tb := quickTable(t, "E11")
+	lines := dataLines(tb)
 	for _, line := range lines {
 		if !strings.Contains(line, "healthy") {
 			continue
@@ -299,11 +303,8 @@ func TestE11NoRehashOnHealthyNetworks(t *testing.T) {
 // adversaries never lose to the seed sweep's mean — they exist to be
 // worse than random.
 func TestE21CoversEveryFamilyAndStrategy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment sweep in -short mode")
-	}
-	tb := E21AdversarialBounds(quick())
-	lines := dataLines(tb.String())
+	tb := quickTable(t, "E21")
+	lines := dataLines(tb)
 	families := map[string]map[string]bool{}
 	for _, line := range lines {
 		// columns: family N diam strategy input rounds(worst)
