@@ -57,7 +57,8 @@ func classifyErr(err error) string {
 // when a cell-level check trips one.
 type SpecError struct {
 	// Field is the Spec's JSON key the bad value arrived in
-	// ("topologies", "workloads", "modes", "trials", ...).
+	// ("topologies", "workloads", "modes", "trials", ...), or "cells"
+	// when two axis values expand to the same cell.
 	Field string
 	Err   error
 }

@@ -145,20 +145,24 @@ func TestSweepSpecValidation(t *testing.T) {
 		mutate func(*Spec)
 		field  string
 	}{
-		"no topologies":     {func(s *Spec) { s.Topologies = nil }, "topologies"},
-		"unknown family":    {func(s *Spec) { s.Topologies = []TopoRef{{Family: "klein", N: 4}} }, "topologies"},
-		"no workloads":      {func(s *Spec) { s.Workloads = nil }, "workloads"},
-		"unknown workload":  {func(s *Spec) { s.Workloads = []WorkRef{{Name: "nope"}} }, "workloads"},
-		"bad fraction":      {func(s *Spec) { s.Workloads = []WorkRef{{Name: "khot", Fraction: 2}} }, "workloads"},
-		"negative trials":   {func(s *Spec) { s.Trials = -1 }, "trials"},
-		"negative timeout":  {func(s *Spec) { s.TimeoutMS = -5 }, "timeout_ms"},
-		"unknown algorithm": {func(s *Spec) { s.Algorithm = "quantum" }, "algorithm"},
-		"unknown disc":      {func(s *Spec) { s.Disciplines = []string{"lifo"} }, "disciplines"},
-		"unknown mode":      {func(s *Spec) { s.Modes = []string{"qrqw"} }, "modes"},
-		"unknown engine":    {func(s *Spec) { s.Engines = []string{"quantum"} }, "engines"},
-		"bad latency":       {func(s *Spec) { s.Latency = &LatencySpec{Model: "warp"} }, "latency"},
-		"bad fault knob":    {func(s *Spec) { s.Faults = []FaultSpec{{Drop: 2}} }, "faults"},
-		"duplicate faults":  {func(s *Spec) { s.Faults = []FaultSpec{{}, {}} }, "faults"},
+		"no topologies":       {func(s *Spec) { s.Topologies = nil }, "topologies"},
+		"unknown family":      {func(s *Spec) { s.Topologies = []TopoRef{{Family: "klein", N: 4}} }, "topologies"},
+		"no workloads":        {func(s *Spec) { s.Workloads = nil }, "workloads"},
+		"unknown workload":    {func(s *Spec) { s.Workloads = []WorkRef{{Name: "nope"}} }, "workloads"},
+		"bad fraction":        {func(s *Spec) { s.Workloads = []WorkRef{{Name: "khot", Fraction: 2}} }, "workloads"},
+		"negative trials":     {func(s *Spec) { s.Trials = -1 }, "trials"},
+		"negative timeout":    {func(s *Spec) { s.TimeoutMS = -5 }, "timeout_ms"},
+		"unknown algorithm":   {func(s *Spec) { s.Algorithm = "quantum" }, "algorithm"},
+		"unknown disc":        {func(s *Spec) { s.Disciplines = []string{"lifo"} }, "disciplines"},
+		"unknown mode":        {func(s *Spec) { s.Modes = []string{"qrqw"} }, "modes"},
+		"unknown engine":      {func(s *Spec) { s.Engines = []string{"quantum"} }, "engines"},
+		"bad latency":         {func(s *Spec) { s.Latency = &LatencySpec{Model: "warp"} }, "latency"},
+		"bad fault knob":      {func(s *Spec) { s.Faults = []FaultSpec{{Drop: 2}} }, "faults"},
+		"duplicate faults":    {func(s *Spec) { s.Faults = []FaultSpec{{}, {}} }, "faults"},
+		"duplicate workers":   {func(s *Spec) { s.Workers = []int{1, 1} }, "cells"},
+		"duplicate topology":  {func(s *Spec) { s.Topologies = append(s.Topologies, s.Topologies[0]) }, "cells"},
+		"mode beside modes":   {func(s *Spec) { s.Mode, s.Modes = ModeEREW, []string{ModeEREW} }, "cells"},
+		"route spelled twice": {func(s *Spec) { s.Modes = []string{ModeRoute, ""} }, "cells"},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -556,6 +556,17 @@ func (s Spec) cells(cache *buildcache.Cache) (cells []Cell, release func(), err 
 		}
 	}
 	sort.Slice(cells, func(i, j int) bool { return cells[i].Key() < cells[j].Key() })
+	// Repeated axis values (a topology listed twice, "mode" beside the
+	// same "modes" entry) expand to cells with one key; the sort puts
+	// them side by side.
+	prev := ""
+	for _, c := range cells {
+		key := c.Key()
+		if key == prev {
+			return nil, nil, &SpecError{Field: "cells", Err: fmt.Errorf("axis values repeat cell %s", key)}
+		}
+		prev = key
+	}
 	return cells, release, nil
 }
 
