@@ -137,34 +137,56 @@ func TestParseDefaults(t *testing.T) {
 }
 
 // docExamples returns the argv of every routebench invocation in
-// README.md and in this command's doc comment, cut at the first shell
-// redirection. A lone flag in prose (`routebench -sweep`) names the
-// flag rather than invoking it, so it is skipped.
+// README.md, sweeps/README.md and this command's doc comment, cut at
+// the first shell redirection. An invocation inside inline code runs
+// to the closing backtick, so one that wraps onto the next line is
+// read whole; elsewhere it ends with its line. A lone flag in prose
+// (`routebench -sweep`) names the flag rather than invoking it, so it
+// is skipped.
 func docExamples(t *testing.T) [][]string {
 	t.Helper()
-	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
-	if err != nil {
-		t.Fatal(err)
+	var text strings.Builder
+	for _, path := range []string{filepath.Join("..", "..", "README.md"), filepath.Join("..", "..", "sweeps", "README.md")} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text.Write(data)
+		text.WriteString("\n")
 	}
 	src, err := os.ReadFile("main.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	text.WriteString(doc)
 	var examples [][]string
-	for _, line := range strings.Split(string(readme)+"\n"+doc, "\n") {
-		for _, rest := range strings.Split(line, "routebench ")[1:] {
-			rest, _, _ = strings.Cut(rest, "`")
-			var args []string
-			for _, f := range strings.Fields(rest) {
-				if f == "<" || f == ">" || f == "|" {
-					break
-				}
-				args = append(args, f)
+	all := text.String()
+	for i := strings.Index(all, "routebench"); i >= 0; {
+		start := i + len("routebench")
+		rest := all[start:]
+		if next := strings.Index(rest, "routebench"); next >= 0 {
+			i = start + next
+		} else {
+			i = -1
+		}
+		if rest == "" || (rest[0] != ' ' && rest[0] != '\n') {
+			continue // a path or a possessive, not an invocation
+		}
+		line := all[strings.LastIndex(all[:start], "\n")+1 : start]
+		if strings.Count(line, "`")%2 == 0 {
+			rest, _, _ = strings.Cut(rest, "\n") // not inside inline code
+		}
+		rest, _, _ = strings.Cut(rest, "`")
+		var args []string
+		for _, f := range strings.Fields(rest) {
+			if f == "<" || f == ">" || f == "|" {
+				break
 			}
-			if len(args) > 1 && strings.HasPrefix(args[0], "-") {
-				examples = append(examples, args)
-			}
+			args = append(args, f)
+		}
+		if len(args) > 1 && strings.HasPrefix(args[0], "-") {
+			examples = append(examples, args)
 		}
 	}
 	return examples
