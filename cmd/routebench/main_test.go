@@ -162,14 +162,13 @@ func docExamples(t *testing.T) [][]string {
 	text.WriteString(doc)
 	var examples [][]string
 	all := text.String()
-	for i := strings.Index(all, "routebench"); i >= 0; {
-		start := i + len("routebench")
-		rest := all[start:]
-		if next := strings.Index(rest, "routebench"); next >= 0 {
-			i = start + next
-		} else {
-			i = -1
+	for start := 0; ; {
+		i := strings.Index(all[start:], "routebench")
+		if i < 0 {
+			break
 		}
+		start += i + len("routebench")
+		rest := all[start:]
 		if rest == "" || (rest[0] != ' ' && rest[0] != '\n') {
 			continue // a path or a possessive, not an invocation
 		}
